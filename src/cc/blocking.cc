@@ -39,7 +39,7 @@ void BlockingCc::ExecuteSp(FragmentRequest& f) {
     part_->Send(f.coordinator, resp);
     return;
   }
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
+  part_->LogCommit(f.txn_id, false, f.proc, f.args, {&f.round_input, 1});
   ReplicaShip ship;
   ship.txn_id = f.txn_id;
   ship.outcome_known = true;

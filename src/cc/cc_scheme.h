@@ -8,6 +8,7 @@
 #define PARTDB_CC_CC_SCHEME_H_
 
 #include <memory>
+#include <span>
 
 #include "engine/cost_model.h"
 #include "engine/engine.h"
@@ -56,10 +57,10 @@ class PartitionExec {
   /// serializability checking, no cost) and in the partition's command log
   /// when durability is on. `proc` is the registry id of the stored
   /// procedure, stamped into the durable record so recovery can re-resolve
-  /// it by name.
+  /// it by name. A single-partition commit passes its one round input as
+  /// `{&f.round_input, 1}`, so the call builds no container.
   virtual void LogCommit(TxnId id, bool multi_partition, ProcId proc,
-                         const PayloadPtr& args,
-                         const std::vector<PayloadPtr>& round_inputs) = 0;
+                         const PayloadPtr& args, std::span<const PayloadPtr> round_inputs) = 0;
 
   virtual Engine& engine() = 0;
   virtual const CostModel& cost() const = 0;

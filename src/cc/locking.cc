@@ -50,7 +50,7 @@ void LockingCc::FastPathSp(FragmentRequest& f) {
     part_->Send(f.coordinator, resp);
     return;
   }
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
+  part_->LogCommit(f.txn_id, false, f.proc, f.args, {&f.round_input, 1});
   ReplicaShip ship;
   ship.txn_id = f.txn_id;
   ship.outcome_known = true;
@@ -212,7 +212,7 @@ void LockingCc::ExecutePending(LTxn* t) {
       part_->Send(f.coordinator, resp);
     } else {
       t->undo.Clear();
-      part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
+      part_->LogCommit(f.txn_id, false, f.proc, f.args, {&f.round_input, 1});
       ReplicaShip ship;
       ship.txn_id = f.txn_id;
       ship.outcome_known = true;

@@ -79,7 +79,7 @@ void MvccCc::ExecuteSp(FragmentRequest& f) {
     return;
   }
   ++commit_ts_;
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
+  part_->LogCommit(f.txn_id, false, f.proc, f.args, {&f.round_input, 1});
   ReplicaShip ship;
   ship.txn_id = f.txn_id;
   ship.outcome_known = true;
@@ -102,7 +102,7 @@ void MvccCc::ExecuteSpAt(FragmentRequest& f, bool on_snapshot) {
     undo.Rollback();
   } else {
     ++commit_ts_;
-    part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
+    part_->LogCommit(f.txn_id, false, f.proc, f.args, {&f.round_input, 1});
   }
   if (on_snapshot) {
     pending_->versions.Reinstall();

@@ -1,9 +1,9 @@
 // Per-procedure outcome recording: the client library reports each completed
 // transaction's procedure, outcome, and latency to a sink. The db layer's
-// ProcedureRegistry implements the sink (per-proc committed/aborted counts
-// and latency histograms, surfaced through Database::ProcMetrics); the
-// interface lives in the client layer so SessionActor needs no dependency on
-// the registry.
+// ProcedureRegistry hands out the sinks (per-worker shards of per-proc
+// committed/aborted counts and latency histograms, merged by
+// Database::ProcMetrics); the interface lives in the client layer so
+// SessionActor needs no dependency on the registry.
 #ifndef PARTDB_CLIENT_PROC_METRICS_H_
 #define PARTDB_CLIENT_PROC_METRICS_H_
 
@@ -16,8 +16,8 @@ class ProcMetricsSink {
   virtual ~ProcMetricsSink() = default;
 
   /// Called once per completed transaction (commit or user abort) that was
-  /// submitted under a registered procedure id. Must be thread-safe: sessions
-  /// complete concurrently on different workers in parallel mode.
+  /// submitted under a registered procedure id, on the recording session's
+  /// worker thread (a sink serves the sessions of one worker).
   virtual void RecordProcOutcome(ProcId proc, bool committed, Duration latency_ns) = 0;
 };
 

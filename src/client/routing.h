@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "msg/message.h"
 
 namespace partdb {
 
@@ -16,7 +17,7 @@ namespace partdb {
 /// (paper §3.1). Must be deterministic in the arguments: a retry after a
 /// deadlock abort re-routes identically.
 struct TxnRouting {
-  std::vector<PartitionId> participants;
+  PartitionList participants;
   int rounds = 1;
   bool can_abort = false;
 

@@ -18,77 +18,48 @@ constexpr size_t kTxnStashMax = 16;
 
 SubmitResult SessionActor::Submit(ProcId proc, PayloadPtr args, TxnCallback cb) {
   PARTDB_CHECK(args != nullptr);  // fail at the call site, not on the worker
-  PARTDB_CHECK(router_ != nullptr);
-  PendingSubmit p;
-  p.proc = proc;
-  p.args = std::move(args);
-  p.cb = std::move(cb);
-  return Enqueue(std::move(p));
-}
-
-SubmitResult SessionActor::SubmitRouted(PayloadPtr args, TxnRouting route, TxnCallback cb) {
-  PARTDB_CHECK(args != nullptr);
-  PendingSubmit p;
-  p.args = std::move(args);
-  p.routed = true;
-  p.route = std::move(route);
-  p.cb = std::move(cb);
-  return Enqueue(std::move(p));
-}
-
-SubmitResult SessionActor::Enqueue(PendingSubmit p) {
+  if (!Admit()) return {false, kInvalidTxn};
+  SessionSubmit s;
+  s.txn_id = MakeTxnId(node_id(), next_seq_.fetch_add(1, std::memory_order_relaxed));
+  s.proc = proc;
+  s.args = std::move(args);
+  s.cb = std::move(cb);
+  outstanding_.fetch_add(1, std::memory_order_relaxed);
+  const TxnId id = s.txn_id;
   // A submission made from within one of this actor's own handlers (a
   // completion callback issuing the next closed-loop request) starts inline:
-  // the wake-up hop would only charge an extra client message and delay the
+  // the ingress hop would only charge an extra client message and delay the
   // send, and no other thread can be running this actor concurrently.
   if (handler_thread_.load(std::memory_order_relaxed) == std::this_thread::get_id()) {
-    ActorContext& ctx = *handler_ctx_;
-    p.submit_time = ctx.now();
-    TxnId id;
-    {
-      MutexLock lock(mu_);
-      if (max_inflight_ != 0 && admitted_ >= max_inflight_) return {false, kInvalidTxn};
-      ++admitted_;
-      id = MakeTxnId(node_id(), next_seq_++);
-      ++outstanding_;
-    }
-    p.id = id;
-    StartTxn(id, std::move(p), ctx);
+    s.submit_time = handler_ctx_->now();
+    StartTxn(std::move(s), *handler_ctx_);
     return {true, id};
   }
-
   // Latency is measured from here: ingress queueing (the wait until the
-  // session's worker drains the submission) is part of what the open-loop
+  // session's worker picks the submission up) is part of what the open-loop
   // driver exists to observe.
-  p.submit_time = exec()->Now();
-  TxnId id;
-  bool wake = false;
-  {
-    MutexLock lock(mu_);
-    if (max_inflight_ != 0 && admitted_ >= max_inflight_) return {false, kInvalidTxn};
-    ++admitted_;
-    id = MakeTxnId(node_id(), next_seq_++);
-    p.id = id;
-    pending_.push_back(std::move(p));
-    ++outstanding_;
-    // Coalesce: one wake per pending batch. If a wake is already scheduled
-    // and not yet drained, this submission rides along with it.
-    wake = !wake_pending_;
-    if (wake) {
-      wake_pending_ = true;
-      ++ingress_wakes_;
-    }
-  }
-  // Wake the actor on its own worker; SetTimer is safe from any thread.
-  if (wake) exec()->SetTimer(node_id(), exec()->Now(), TimerFire{kInvalidTxn, 0});
+  s.submit_time = exec()->Now();
+  Message m;
+  m.src = node_id();
+  m.dst = node_id();
+  m.body = std::move(s);
+  exec()->Post(std::move(m));
   return {true, id};
+}
+
+bool SessionActor::Admit() {
+  uint64_t cur = admitted_.load(std::memory_order_relaxed);
+  do {
+    if (max_inflight_ != 0 && cur >= max_inflight_) return false;
+  } while (!admitted_.compare_exchange_weak(cur, cur + 1, std::memory_order_relaxed));
+  return true;
 }
 
 bool SessionActor::WaitDrained(std::chrono::steady_clock::duration timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   MutexLock lock(mu_);
-  while (outstanding_ != 0) {
-    if (!drained_cv_.WaitUntil(mu_, deadline) && outstanding_ != 0) return false;
+  while (outstanding() != 0) {
+    if (!drained_cv_.WaitUntil(mu_, deadline) && outstanding() != 0) return false;
   }
   return true;
 }
@@ -105,11 +76,11 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
     }
   } scope{this};
 
+  if (auto* s = std::get_if<SessionSubmit>(&msg.body)) {
+    StartTxn(std::move(*s), ctx);
+    return;
+  }
   if (auto* t = std::get_if<TimerFire>(&msg.body)) {
-    if (t->txn_id == kInvalidTxn) {
-      DrainSubmissions(ctx);
-      return;
-    }
     // Retry backoff expired.
     auto it = txns_.find(t->txn_id);
     if (it != txns_.end() && it->second.attempt == t->generation) {
@@ -146,24 +117,8 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
   PARTDB_CHECK(false);
 }
 
-void SessionActor::DrainSubmissions(ActorContext& ctx) {
-  // Ping-pong swap: pending_ and drain_scratch_ trade storage, so the
-  // steady state reuses both buffers' capacity instead of allocating a
-  // fresh batch container per wake.
-  {
-    MutexLock lock(mu_);
-    drain_scratch_.swap(pending_);
-    // Submissions arriving from here on need a fresh wake.
-    wake_pending_ = false;
-  }
-  for (PendingSubmit& p : drain_scratch_) {
-    const TxnId id = p.id;
-    StartTxn(id, std::move(p), ctx);
-  }
-  drain_scratch_.clear();
-}
-
-void SessionActor::StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx) {
+void SessionActor::StartTxn(SessionSubmit s, ActorContext& ctx) {
+  const TxnId id = s.txn_id;
   std::unordered_map<TxnId, Txn>::iterator it;
   if (!txn_stash_.empty()) {
     // Reattach a recycled node: no map-node allocation, and the Txn inside
@@ -181,16 +136,16 @@ void SessionActor::StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx) {
     it = ins.first;
   }
   Txn& t = it->second;
-  t.proc = p.proc;
-  t.args = std::move(p.args);
-  t.route = p.routed ? std::move(p.route) : router_(p.proc, *t.args);
+  t.proc = s.proc;
+  t.args = std::move(s.args);
+  t.route = router_(s.proc, *t.args);
   PARTDB_CHECK(!t.route.participants.empty());
   PARTDB_CHECK(t.route.rounds >= 1);
   for (PartitionId part : t.route.participants) {
     PARTDB_CHECK(part >= 0 && static_cast<size_t>(part) < topology_.partition_primary.size());
   }
-  t.cb = std::move(p.cb);
-  t.issue_time = p.submit_time;
+  t.cb = std::move(s.cb);
+  t.issue_time = s.submit_time;
   SendCurrent(it->first, t, ctx);
 }
 
@@ -377,11 +332,8 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
   // The admission slot frees before the callback: a closed loop's
   // resubmit-from-callback reuses the slot this transaction held, so
   // max_inflight = 1 sustains a closed loop.
-  {
-    MutexLock lock(mu_);
-    PARTDB_CHECK(admitted_ > 0);
-    --admitted_;
-  }
+  const uint64_t admitted_before = admitted_.fetch_sub(1, std::memory_order_relaxed);
+  PARTDB_CHECK(admitted_before > 0);
 
   // Recycle the detached map node before the callback runs, so a closed
   // loop's resubmit-from-callback picks it straight back up. Payloads and
@@ -407,16 +359,20 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
   // observe every completion's side effects (it may also Submit again —
   // closed-loop drivers — which keeps the session non-drained, correctly).
   if (cb) cb(r);
-  {
-    // Notify under the lock, same teardown protocol as
-    // RemoteSession::OnResponse: actors are pooled in Database and outlive
-    // session handles today, but that invariant lives far from here — don't
-    // let this path depend on it. Only the ->0 edge can wake a waiter.
-    MutexLock lock(mu_);
-    PARTDB_CHECK(outstanding_ > 0);
-    --outstanding_;
-    if (outstanding_ == 0) drained_cv_.NotifyAll();
+  // Only this worker decrements, so a count above 1 cannot reach 0 here and
+  // needs no lock. The ->0 edge decrements and notifies under the lock, same
+  // teardown protocol as RemoteSession::OnResponse: a waiter cannot observe
+  // the drain (and let the actor go) before the notify is done. Actors are
+  // pooled in Database and outlive session handles today, but that
+  // invariant lives far from here — don't let this path depend on it.
+  if (outstanding_.load(std::memory_order_relaxed) > 1) {
+    outstanding_.fetch_sub(1, std::memory_order_release);
+    return;
   }
+  MutexLock lock(mu_);
+  const uint64_t before = outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+  PARTDB_CHECK(before > 0);
+  if (before == 1) drained_cv_.NotifyAll();
 }
 
 }  // namespace partdb

@@ -13,13 +13,15 @@
 //    flight per logical client, the completion callback submits the next
 //    request).
 //
-// Submissions arriving from foreign threads are queued and drained on the
-// actor's own worker. Submissions made from within one of this actor's own
-// handlers (a completion callback resubmitting — the closed-loop pattern)
-// start inline, with no extra wake-up message and no extra CPU charge, so a
-// closed loop over a session costs exactly what the legacy dedicated client
-// actor used to cost — in the simulator this keeps metrics bit-for-bit
-// identical to the pre-session harness.
+// A submission from a foreign thread is admitted with atomics and posted to
+// the actor as one SessionSubmit message (one mailbox push in parallel
+// mode). Submissions made from within one of this actor's own handlers (a
+// completion callback resubmitting — the closed-loop pattern) start inline,
+// with no message and no extra CPU charge, so a closed loop over a session
+// costs exactly what the legacy dedicated client actor used to cost — in the
+// simulator this keeps metrics bit-for-bit identical to the pre-session
+// harness. No lock is taken per transaction: the mutex below only backs the
+// drained condvar on the last completion's ->0 edge.
 #ifndef PARTDB_CLIENT_SESSION_ACTOR_H_
 #define PARTDB_CLIENT_SESSION_ACTOR_H_
 
@@ -44,25 +46,6 @@ namespace partdb {
 
 class DurabilityManager;
 
-/// Outcome of one transaction, as observed by the submitting session.
-struct TxnResult {
-  /// True when the transaction committed; false means a user abort (system
-  /// aborts — deadlock victims, timeouts — are retried internally and never
-  /// surface here).
-  bool committed = false;
-  /// Submission-to-completion latency (wall-clock in parallel mode, virtual
-  /// time in simulation).
-  Duration latency_ns = 0;
-  /// 1 + the number of system-induced retries this transaction needed.
-  uint32_t attempts = 1;
-  /// Last round's result payload (engine-defined; null on abort).
-  PayloadPtr payload;
-};
-
-/// Runs on the session's worker thread (parallel mode) or inside the sim
-/// pump (simulated mode). Must not block; it may submit new transactions.
-using TxnCallback = std::function<void(const TxnResult&)>;
-
 /// Outcome of one Submit call. `accepted == false` is the bounded-in-flight
 /// overload signal: the session already has max_inflight transactions
 /// admitted, the submission was NOT enqueued, and the callback will never
@@ -76,7 +59,7 @@ struct SubmitResult {
 
 /// Derives routing facts for a registered procedure invocation (the db layer
 /// passes its ProcedureRegistry's router). Must be deterministic in the
-/// arguments. May be null when only SubmitRouted is used.
+/// arguments.
 using ProcRouter = std::function<TxnRouting(ProcId proc, const Payload& args)>;
 
 class SessionActor : public Actor {
@@ -98,9 +81,10 @@ class SessionActor : public Actor {
 
   void set_metrics(Metrics* m) { metrics_ = m; }
 
-  /// Optional per-procedure outcome sink (the db layer passes its
-  /// ProcedureRegistry). Recording is gated on the metrics window, so the
-  /// per-proc counts decompose the window's committed/user_aborts exactly.
+  /// Optional per-procedure outcome sink (the db layer passes a
+  /// ProcedureRegistry shard owned by this actor's worker). Recording is
+  /// gated on the metrics window, so the per-proc counts decompose the
+  /// window's committed/user_aborts exactly.
   void set_proc_metrics(ProcMetricsSink* s) { proc_metrics_ = s; }
 
   /// Admission bound: at most `n` transactions admitted-and-uncompleted at a
@@ -113,27 +97,14 @@ class SessionActor : public Actor {
   /// log records are fsynced on every participant (DurableNotice).
   void set_durability(DurabilityManager* d) { durability_ = d; }
 
-  /// Queues one invocation and wakes the actor (at most one wake per pending
-  /// batch: submissions arriving while a wake is already scheduled coalesce
-  /// into it). Thread-safe. Routing comes from the actor's ProcRouter.
+  /// Admits one invocation and starts it: inline from this actor's own
+  /// handlers, else by posting it to the actor (one message per call; a
+  /// thread's submissions start in call order). Thread-safe. Routing comes
+  /// from the actor's ProcRouter, on the actor's worker.
   SubmitResult Submit(ProcId proc, PayloadPtr args, TxnCallback cb);
 
-  /// Like Submit, but with caller-supplied routing (tests and harnesses that
-  /// derive routing alongside the arguments, bypassing the registry).
-  SubmitResult SubmitRouted(PayloadPtr args, TxnRouting route, TxnCallback cb);
-
-  /// Queued + in-flight transactions. Thread-safe.
-  uint64_t outstanding() const {
-    MutexLock lock(mu_);
-    return outstanding_;
-  }
-
-  /// Ingress wake-ups scheduled so far (coalesced mailbox wakes: a burst of
-  /// foreign-thread submissions costs one). Thread-safe; test observability.
-  uint64_t ingress_wakes() const {
-    MutexLock lock(mu_);
-    return ingress_wakes_;
-  }
+  /// Posted + in-flight transactions. Thread-safe.
+  uint64_t outstanding() const { return outstanding_.load(std::memory_order_acquire); }
 
   /// Blocks until outstanding() == 0 (parallel mode; the sim pump drains
   /// simulated sessions). Returns false on timeout.
@@ -149,16 +120,6 @@ class SessionActor : public Actor {
   void OnMessage(Message& msg, ActorContext& ctx) override;
 
  private:
-  struct PendingSubmit {
-    TxnId id = kInvalidTxn;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
-    bool routed = false;  // `route` below is authoritative (SubmitRouted)
-    TxnRouting route;
-    TxnCallback cb;
-    Time submit_time = 0;  // latency measures from submission, not pickup
-  };
-
   struct Txn {
     ProcId proc = kInvalidProc;
     PayloadPtr args;
@@ -178,9 +139,8 @@ class SessionActor : public Actor {
     uint32_t parked_attempts = 0;
   };
 
-  SubmitResult Enqueue(PendingSubmit p);
-  void DrainSubmissions(ActorContext& ctx);
-  void StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx);
+  bool Admit();
+  void StartTxn(SessionSubmit s, ActorContext& ctx);
   void SendCurrent(TxnId id, Txn& t, ActorContext& ctx);
   void SendLockingRound(TxnId id, Txn& t, PayloadPtr round_input, ActorContext& ctx);
   void OnFragmentResponse(FragmentResponse& r, ActorContext& ctx);
@@ -201,19 +161,16 @@ class SessionActor : public Actor {
   uint64_t max_inflight_ = 0;  // 0 = unlimited; set before traffic
 
   // Shared with submitting threads.
-  mutable Mutex mu_;
-  CondVar drained_cv_;
-  std::vector<PendingSubmit> pending_ PARTDB_GUARDED_BY(mu_);
-  uint64_t outstanding_ PARTDB_GUARDED_BY(mu_) = 0;
   /// Admitted-and-uncompleted transactions (the admission-control counter).
   /// Unlike outstanding_, this drops *before* the completion callback runs,
   /// so a closed loop's resubmit-from-callback reuses the slot it held.
-  uint64_t admitted_ PARTDB_GUARDED_BY(mu_) = 0;
-  /// True while an ingress wake is scheduled but not yet drained: further
-  /// submissions coalesce into the pending wake instead of scheduling more.
-  bool wake_pending_ PARTDB_GUARDED_BY(mu_) = false;
-  uint64_t ingress_wakes_ PARTDB_GUARDED_BY(mu_) = 0;
-  uint32_t next_seq_ PARTDB_GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> admitted_{0};
+  /// Posted + in-flight transactions. Only the actor's worker decrements it,
+  /// and its ->0 edge happens under mu_ so WaitDrained cannot miss it.
+  std::atomic<uint64_t> outstanding_{0};
+  std::atomic<uint32_t> next_seq_{0};
+  mutable Mutex mu_;
+  CondVar drained_cv_;
 
   // Owned by the actor's worker (or the sim pump).
   std::unordered_map<TxnId, Txn> txns_;
@@ -222,11 +179,8 @@ class SessionActor : public Actor {
   /// it under the new id — the steady-state closed loop allocates no map
   /// nodes at all.
   std::vector<std::unordered_map<TxnId, Txn>::node_type> txn_stash_;
-  /// DrainSubmissions' ping-pong buffer: swapped with pending_ under mu_,
-  /// iterated without the lock, then kept for its capacity.
-  std::vector<PendingSubmit> drain_scratch_;
 
-  // Set for the duration of OnMessage so Enqueue can detect a submission made
+  // Set for the duration of OnMessage so Submit can detect a submission made
   // from within one of this actor's own handlers and start it inline.
   std::atomic<std::thread::id> handler_thread_{};
   ActorContext* handler_ctx_ = nullptr;

@@ -102,6 +102,38 @@ Histogram Histogram::FromRaw(uint64_t count, int64_t min, int64_t max, double su
   return h;
 }
 
+void SingleWriterHistogram::Add(int64_t value) {
+  if (value < min_.load(std::memory_order_relaxed)) min_.store(value, std::memory_order_relaxed);
+  if (value > max_.load(std::memory_order_relaxed)) max_.store(value, std::memory_order_relaxed);
+  sum_.store(sum_.load(std::memory_order_relaxed) + static_cast<double>(value),
+             std::memory_order_relaxed);
+  // Published last: a reader that sees the sample counted also sees a
+  // min/max that cover it.
+  std::atomic<uint64_t>& b = buckets_[Histogram::BucketFor(value)];
+  b.store(b.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+}
+
+void SingleWriterHistogram::Clear() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  min_.store(INT64_MAX, std::memory_order_relaxed);
+  max_.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+}
+
+Histogram SingleWriterHistogram::Snapshot() const {
+  Histogram h;
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    h.buckets_[i] = buckets_[i].load(std::memory_order_acquire);
+    h.count_ += h.buckets_[i];
+  }
+  if (h.count_ > 0) {
+    h.min_ = min_.load(std::memory_order_relaxed);
+    h.max_ = max_.load(std::memory_order_relaxed);
+    h.sum_ = sum_.load(std::memory_order_relaxed);
+  }
+  return h;
+}
+
 std::string Histogram::Summary(double scale) const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),

@@ -2,6 +2,8 @@
 #ifndef PARTDB_COMMON_HISTOGRAM_H_
 #define PARTDB_COMMON_HISTOGRAM_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -41,6 +43,7 @@ class Histogram {
                            const std::vector<std::pair<uint32_t, uint64_t>>& nonzero);
 
  private:
+  friend class SingleWriterHistogram;
   static constexpr int kNumBuckets = 512;
   static int BucketFor(int64_t value);
   static int64_t BucketLimit(int bucket);
@@ -50,6 +53,27 @@ class Histogram {
   int64_t min_;
   int64_t max_;
   double sum_;
+};
+
+/// A Histogram that one thread records into while any thread may read it:
+/// per-thread shards merged on read, with no lock on the recording path.
+/// Every field is an atomic that its single writer updates with a plain load
+/// and store (no read-modify-write).
+class SingleWriterHistogram {
+ public:
+  /// Owning thread only.
+  void Add(int64_t value);
+  /// Only while the owning thread is not recording.
+  void Clear();
+  /// Any thread. The count is the sum of the buckets read, so a snapshot
+  /// taken mid-record is internally consistent.
+  Histogram Snapshot() const;
+
+ private:
+  std::array<std::atomic<uint64_t>, Histogram::kNumBuckets> buckets_{};
+  std::atomic<int64_t> min_{INT64_MAX};
+  std::atomic<int64_t> max_{0};
+  std::atomic<double> sum_{0};
 };
 
 /// Running mean/min/max accumulator for doubles.

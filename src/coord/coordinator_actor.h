@@ -47,7 +47,7 @@ class CoordinatorActor : public Actor {
     NodeId client = kInvalidNode;
     ProcId proc = kInvalidProc;
     PayloadPtr args;
-    std::vector<PartitionId> parts;
+    PartitionList parts;
     int rounds = 1;
     int round = 0;
     bool can_abort = false;

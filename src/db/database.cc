@@ -97,6 +97,11 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
   ProcRouter router = [reg = &registry_](ProcId proc, const Payload& args) {
     return reg->Get(proc).route(args);
   };
+  // One outcome shard per session worker, so each shard has one writer.
+  std::vector<ProcMetricsSink*> proc_shards;
+  for (int w = 0; w < options_.session_workers; ++w) {
+    proc_shards.push_back(registry_.AddProcMetricsShard());
+  }
   for (int i = 0; i < options_.max_sessions; ++i) {
     // Session slot i draws from client stream i (ClientStreamSeed), and
     // CreateSession hands slots out in ascending order, so a closed loop over
@@ -105,7 +110,7 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
         "session-" + std::to_string(i), router, &registry_, cluster_->topology(),
         scheme_caps, options_.cost, ClientStreamSeed(options_.seed, i));
     actor->set_metrics(cluster_->BindSession(i, actor.get()));
-    actor->set_proc_metrics(&registry_);
+    actor->set_proc_metrics(proc_shards[cluster_->session_worker(i)]);
     actor->set_max_inflight(options_.max_inflight_per_session);
     actor->set_durability(durability_.get());
     session_actors_.push_back(std::move(actor));

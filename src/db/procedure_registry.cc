@@ -9,8 +9,8 @@ ProcId ProcedureRegistry::Register(ProcedureDescriptor desc) {
   PARTDB_CHECK(desc.route != nullptr);
   const ProcId id = static_cast<ProcId>(procs_.size());
   PARTDB_CHECK(by_name_.emplace(desc.name, id).second);  // unique names
+  PARTDB_CHECK(shards_.empty());  // shards are sized to the sealed table
   procs_.push_back(std::move(desc));
-  stats_.push_back(std::make_unique<ProcStats>());
   return id;
 }
 
@@ -32,41 +32,45 @@ PayloadPtr ProcedureRegistry::NextRoundInput(
   return d.round_input(args, round, prev);
 }
 
-void ProcedureRegistry::RecordProcOutcome(ProcId proc, bool committed, Duration latency_ns) {
-  PARTDB_CHECK(proc >= 0 && static_cast<size_t>(proc) < stats_.size());
-  ProcStats& s = *stats_[proc];
-  if (committed) {
-    s.committed.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    s.user_aborts.fetch_add(1, std::memory_order_relaxed);
-  }
-  MutexLock lock(s.mu);
+ProcedureRegistry::Shard::Shard(size_t num_procs) : stats(num_procs) {}
+
+void ProcedureRegistry::Shard::RecordProcOutcome(ProcId proc, bool committed,
+                                                 Duration latency_ns) {
+  PARTDB_CHECK(proc >= 0 && static_cast<size_t>(proc) < stats.size());
+  ProcStats& s = stats[proc];
+  // Single writer: plain load + store, no read-modify-write.
+  std::atomic<uint64_t>& n = committed ? s.committed : s.user_aborts;
+  n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   s.latency.Add(latency_ns);
 }
 
+ProcMetricsSink* ProcedureRegistry::AddProcMetricsShard() {
+  shards_.push_back(std::make_unique<Shard>(procs_.size()));
+  return shards_.back().get();
+}
+
 std::vector<ProcMetricsSnapshot> ProcedureRegistry::ProcMetrics() const {
-  std::vector<ProcMetricsSnapshot> out;
-  out.reserve(procs_.size());
+  std::vector<ProcMetricsSnapshot> out(procs_.size());
   for (size_t i = 0; i < procs_.size(); ++i) {
-    ProcMetricsSnapshot snap;
+    ProcMetricsSnapshot& snap = out[i];
     snap.name = procs_[i].name;
-    snap.committed = stats_[i]->committed.load(std::memory_order_relaxed);
-    snap.user_aborts = stats_[i]->user_aborts.load(std::memory_order_relaxed);
-    {
-      MutexLock lock(stats_[i]->mu);
-      snap.latency = stats_[i]->latency;
+    for (const auto& shard : shards_) {
+      const ProcStats& s = shard->stats[i];
+      snap.committed += s.committed.load(std::memory_order_relaxed);
+      snap.user_aborts += s.user_aborts.load(std::memory_order_relaxed);
+      snap.latency.Merge(s.latency.Snapshot());
     }
-    out.push_back(std::move(snap));
   }
   return out;
 }
 
 void ProcedureRegistry::ResetProcMetrics() {
-  for (auto& s : stats_) {
-    s->committed.store(0, std::memory_order_relaxed);
-    s->user_aborts.store(0, std::memory_order_relaxed);
-    MutexLock lock(s->mu);
-    s->latency.Clear();
+  for (auto& shard : shards_) {
+    for (ProcStats& s : shard->stats) {
+      s.committed.store(0, std::memory_order_relaxed);
+      s.user_aborts.store(0, std::memory_order_relaxed);
+      s.latency.Clear();
+    }
   }
 }
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "client/proc_metrics.h"
-#include "common/mutex.h"
 #include "client/routing.h"
 #include "common/histogram.h"
 #include "common/types.h"
@@ -83,9 +82,10 @@ struct ProcMetricsSnapshot {
 /// Name -> descriptor table shared by the coordinator and every session of a
 /// Database. Sealed before traffic starts (Database::Open registers
 /// DbOptions::procedures); afterwards descriptor lookups are concurrent
-/// lock-free reads, and the per-procedure outcome counters are updated
-/// concurrently by the sessions (atomics + a per-proc histogram lock).
-class ProcedureRegistry : public TxnContinuations, public ProcMetricsSink {
+/// lock-free reads. Per-procedure outcomes are recorded into shards, each
+/// written by one thread (a session worker) without a lock and merged on
+/// read.
+class ProcedureRegistry : public TxnContinuations {
  public:
   /// Registers `desc` and returns its id. Names must be unique and non-empty;
   /// `desc.route` must be set.
@@ -101,31 +101,35 @@ class ProcedureRegistry : public TxnContinuations, public ProcMetricsSink {
   PayloadPtr NextRoundInput(ProcId proc, const Payload& args, int round,
                             const std::vector<std::pair<PartitionId, PayloadPtr>>& prev) override;
 
-  // ProcMetricsSink (called by every session for completions inside a
-  // metrics window). Thread-safe. Unlike the window counters (which are
-  // per-actor precisely to avoid shared cache lines on the hot path), these
-  // are shared: one relaxed fetch_add plus a short per-proc histogram lock
-  // per completion — measured in the noise of the gated throughput benches
-  // on current hardware. If contention ever shows up at higher core counts,
-  // shard per session and merge at EndMeasurement.
-  void RecordProcOutcome(ProcId proc, bool committed, Duration latency_ns) override;
+  /// Adds an outcome shard covering every registered procedure and returns
+  /// it as the sink for the sessions of one worker thread: its
+  /// RecordProcOutcome must only ever run on that thread. Call after the
+  /// last Register and before traffic starts.
+  ProcMetricsSink* AddProcMetricsShard();
 
-  /// Snapshot of every procedure's window outcomes, in registration order.
+  /// Every procedure's window outcomes, merged over the shards, in
+  /// registration order. Thread-safe.
   std::vector<ProcMetricsSnapshot> ProcMetrics() const;
 
-  /// Zeroes the per-procedure outcome stats (Database::BeginMeasurement).
+  /// Zeroes the per-procedure outcome stats (Database::BeginMeasurement,
+  /// while no session is recording).
   void ResetProcMetrics();
 
  private:
   struct ProcStats {
     std::atomic<uint64_t> committed{0};
     std::atomic<uint64_t> user_aborts{0};
-    mutable Mutex mu;
-    Histogram latency PARTDB_GUARDED_BY(mu);
+    SingleWriterHistogram latency;
+  };
+  class Shard : public ProcMetricsSink {
+   public:
+    explicit Shard(size_t num_procs);
+    void RecordProcOutcome(ProcId proc, bool committed, Duration latency_ns) override;
+    std::vector<ProcStats> stats;  // indexed by ProcId
   };
 
   std::vector<ProcedureDescriptor> procs_;
-  std::vector<std::unique_ptr<ProcStats>> stats_;  // parallel to procs_
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::unordered_map<std::string, ProcId> by_name_;
 };
 

@@ -95,7 +95,7 @@ void PartitionLog::Start() {
 
 uint64_t PartitionLog::Append(TxnId txn, bool multi_partition, ProcId proc,
                               const PayloadPtr& args,
-                              const std::vector<PayloadPtr>& round_inputs) {
+                              std::span<const PayloadPtr> round_inputs) {
   LogRecord rec;
   rec.txn_id = txn;
   rec.multi_partition = multi_partition;
@@ -119,6 +119,11 @@ uint64_t PartitionLog::Append(TxnId txn, bool multi_partition, ProcId proc,
   MutexLock lock(mu_);
   rec.commit_seq = next_seq_++;
   if (multi_partition) mp_epoch_.push_back(txn);
+  // The group-commit window runs from the batch's first append, even when
+  // the writer is still busy with the previous batch.
+  if (pending_recs_.empty() && config_.window > 0) {
+    batch_opened_ = std::chrono::steady_clock::now();
+  }
   const size_t before = pending_bytes_.size();
   EncodeLogRecord(rec, &pending_bytes_);
   pending_recs_.push_back(PendingRec{txn, rec.commit_seq,
@@ -139,8 +144,7 @@ void PartitionLog::WriterLoop() {
     // record, so concurrent commits share one fsync. Shutdown cuts the
     // window short.
     if (config_.window > 0 && !stop_) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::nanoseconds(config_.window);
+      const auto deadline = batch_opened_ + std::chrono::nanoseconds(config_.window);
       while (!stop_) {
         if (!work_cv_.WaitUntil(mu_, deadline)) break;
       }

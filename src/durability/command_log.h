@@ -7,7 +7,9 @@
 #ifndef PARTDB_DURABILITY_COMMAND_LOG_H_
 #define PARTDB_DURABILITY_COMMAND_LOG_H_
 
+#include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,7 +64,7 @@ class PartitionLog {
   /// Serializes and enqueues one committed invocation. Called on the owning
   /// partition's worker thread only. Returns the assigned commit sequence.
   uint64_t Append(TxnId txn, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                  const std::vector<PayloadPtr>& round_inputs);
+                  std::span<const PayloadPtr> round_inputs);
 
   /// Blocks until every record appended so far is durable (or dropped by
   /// crash injection — waiting on records a simulated crash discarded would
@@ -126,6 +128,8 @@ class PartitionLog {
 
   std::string pending_bytes_ PARTDB_GUARDED_BY(mu_);
   std::vector<PendingRec> pending_recs_ PARTDB_GUARDED_BY(mu_);
+  /// When the first of pending_recs_ was appended (group commit only).
+  std::chrono::steady_clock::time_point batch_opened_ PARTDB_GUARDED_BY(mu_);
   uint64_t next_seq_ PARTDB_GUARDED_BY(mu_) = 1;
   uint64_t durable_seq_ PARTDB_GUARDED_BY(mu_) = 0;  // highest fsynced (or dropped) seq
   uint64_t segment_index_ PARTDB_GUARDED_BY(mu_) = 0;

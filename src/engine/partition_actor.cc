@@ -101,12 +101,13 @@ void PartitionActor::SetTimer(Duration d, TimerFire t) {
 
 void PartitionActor::LogCommit(TxnId id, bool multi_partition, ProcId proc,
                                const PayloadPtr& args,
-                               const std::vector<PayloadPtr>& round_inputs) {
+                               std::span<const PayloadPtr> round_inputs) {
   if (durability_log_ != nullptr) {
     durability_log_->Append(id, multi_partition, proc, args, round_inputs);
   }
   if (!log_commits_) return;
-  commit_log_.push_back(CommitRecord{id, multi_partition, proc, args, round_inputs});
+  commit_log_.push_back(CommitRecord{id, multi_partition, proc, args,
+                                     {round_inputs.begin(), round_inputs.end()}});
 }
 
 }  // namespace partdb

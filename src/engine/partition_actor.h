@@ -5,6 +5,7 @@
 #define PARTDB_ENGINE_PARTITION_ACTOR_H_
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -70,7 +71,7 @@ class PartitionActor : public Actor, public PartitionExec {
   /// Appends to the durable command log (when installed) and the test-only
   /// commit log (when enabled; no cost — diagnostic machinery).
   void LogCommit(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                 const std::vector<PayloadPtr>& round_inputs) override;
+                 std::span<const PayloadPtr> round_inputs) override;
 
  protected:
   void OnMessage(Message& msg, ActorContext& ctx) override;

@@ -4,13 +4,19 @@
 #define PARTDB_MSG_MESSAGE_H_
 
 #include <cstdint>
+#include <functional>
 #include <variant>
 #include <vector>
 
+#include "common/small_vector.h"
 #include "common/types.h"
 #include "msg/payload.h"
 
 namespace partdb {
+
+/// The partitions one transaction touches. Room for six in place, so
+/// routing and shipping a transaction's participants allocates nothing.
+using PartitionList = SmallVector<PartitionId, 6>;
 
 /// Client -> coordinator: run a multi-partition stored procedure.
 struct ClientRequest {
@@ -18,7 +24,7 @@ struct ClientRequest {
   uint32_t attempt = 0;
   ProcId proc = kInvalidProc;  // registry id; kInvalidProc for legacy workloads
   PayloadPtr args;
-  std::vector<PartitionId> participants;
+  PartitionList participants;
   int num_rounds = 1;
   bool can_abort = false;  // user abort possible: undo required even on fast paths
 };
@@ -110,10 +116,39 @@ struct DurableNotice {
   TxnId txn_id = kInvalidTxn;
 };
 
+/// Outcome of one transaction, as observed by the submitting session.
+struct TxnResult {
+  /// True when the transaction committed; false means a user abort (system
+  /// aborts — deadlock victims, timeouts — are retried internally and never
+  /// surface here).
+  bool committed = false;
+  /// Submission-to-completion latency (wall-clock in parallel mode, virtual
+  /// time in simulation).
+  Duration latency_ns = 0;
+  /// 1 + the number of system-induced retries this transaction needed.
+  uint32_t attempts = 1;
+  /// Last round's result payload (engine-defined; null on abort).
+  PayloadPtr payload;
+};
+
+/// Runs on the session's worker thread (parallel mode) or inside the sim
+/// pump (simulated mode). Must not block; it may submit new transactions.
+using TxnCallback = std::function<void(const TxnResult&)>;
+
+/// Submitting thread -> its session actor: one admitted invocation, posted
+/// when Submit is called from outside the actor's own handlers.
+struct SessionSubmit {
+  TxnId txn_id = kInvalidTxn;
+  ProcId proc = kInvalidProc;
+  PayloadPtr args;
+  Time submit_time = 0;  // latency measures from submission, not pickup
+  TxnCallback cb;
+};
+
 using MessageBody =
     std::variant<ClientRequest, FragmentRequest, FragmentResponse, DecisionMessage,
                  ClientResponse, ReplicaShip, ReplicaDecision, ReplicaAck, TimerFire,
-                 DurableNotice>;
+                 DurableNotice, SessionSubmit>;
 
 struct Message {
   NodeId src = kInvalidNode;

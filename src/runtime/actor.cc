@@ -17,16 +17,17 @@ void ActorContext::SetTimer(Duration after, TimerFire t) {
 }
 
 void Actor::Deliver(Message msg) {
-  inbox_.push_back(std::move(msg));
-  if (!busy_) StartNext(exec_->Now());
+  // Only the simulator delivers to a busy actor (its handler's charged CPU
+  // time has not elapsed yet); a parallel worker always finds it idle.
+  if (busy_) {
+    inbox_.push_back(std::move(msg));
+    return;
+  }
+  Run(msg, exec_->Now());
 }
 
-void Actor::StartNext(Time at) {
-  PARTDB_CHECK(!inbox_.empty());
+void Actor::Run(Message& msg, Time at) {
   busy_ = true;
-  Message msg = std::move(inbox_.front());
-  inbox_.pop_front();
-
   ActorContext ctx(this, at);
   OnMessage(msg, ctx);
 
@@ -37,7 +38,10 @@ void Actor::StartNext(Time at) {
 
 void Actor::FinishHandler(Time done) {
   busy_ = false;
-  if (!inbox_.empty()) StartNext(done);
+  if (inbox_.empty()) return;
+  Message msg = std::move(inbox_.front());
+  inbox_.pop_front();
+  Run(msg, done);
 }
 
 }  // namespace partdb

@@ -1,9 +1,12 @@
-// Actor: a single-threaded process with one CPU. Messages queue in an inbox;
-// the actor processes one message at a time, and the CPU time charged by the
-// handler determines when the next message starts. Outbound messages depart
-// at the instant they were produced. Actors are runtime-agnostic: the bound
-// ExecutionContext decides whether time is virtual (discrete-event
-// simulation) or wall-clock (thread-per-partition parallel execution).
+// Actor: a single-threaded process with one CPU. The actor processes one
+// message at a time, and the CPU time charged by the handler determines when
+// the next message starts; messages that arrive before then queue in an
+// inbox (simulation only: a parallel worker runs each delivered message
+// directly, because its handlers complete before the next delivery).
+// Outbound messages depart at the instant they were produced. Actors are
+// runtime-agnostic: the bound ExecutionContext decides whether time is
+// virtual (discrete-event simulation) or wall-clock (thread-per-partition
+// parallel execution).
 #ifndef PARTDB_RUNTIME_ACTOR_H_
 #define PARTDB_RUNTIME_ACTOR_H_
 
@@ -63,13 +66,14 @@ class Actor {
   const std::string& name() const { return name_; }
   ExecutionContext* exec() const { return exec_; }
 
-  /// Runtime entry point: enqueue and start processing if idle. Must only be
+  /// Runtime entry point: process now if idle, else queue. Must only be
   /// called by the thread that owns this actor (the simulator's event loop,
   /// or the actor's worker thread in parallel execution).
   void Deliver(Message msg);
 
   /// Runtime callback: the CPU time charged by the last handler has elapsed
-  /// (see ExecutionContext::HandlerDone); resumes the inbox if non-empty.
+  /// (see ExecutionContext::HandlerDone); runs the next queued message, if
+  /// any, starting at `done`.
   void FinishHandler(Time done);
 
   /// Total CPU time consumed (for utilization reporting).
@@ -84,12 +88,12 @@ class Actor {
 
  private:
   friend class ActorContext;
-  void StartNext(Time at);
+  void Run(Message& msg, Time at);
 
   std::string name_;
   ExecutionContext* exec_ = nullptr;
   NodeId node_ = kInvalidNode;
-  std::deque<Message> inbox_;
+  std::deque<Message> inbox_;  // arrivals while busy_ (simulator only)
   bool busy_ = false;
   Duration busy_ns_ = 0;
 };

@@ -63,7 +63,7 @@ Cluster::Cluster(const ClusterConfig& config, const EngineFactory& factory,
     }
     parallel_->MapNode(coord_node, coord_worker);
     for (int s = 0; s < config_.num_sessions; ++s) {
-      parallel_->MapNode(session_nodes_[s], coord_worker + 1 + s % session_workers);
+      parallel_->MapNode(session_nodes_[s], coord_worker + 1 + session_worker(s));
     }
     exec_ = parallel_.get();
   } else {

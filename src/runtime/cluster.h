@@ -108,6 +108,9 @@ class Cluster {
   /// before StartParallel()/any simulated traffic.
   Metrics* BindSession(int i, Actor* actor);
   NodeId session_node(int i) const;
+  /// Which session worker runs slot `i`: slots on one worker share its
+  /// single-writer state (the db layer's per-worker ProcMetrics shard).
+  int session_worker(int i) const { return i % config_.session_workers; }
 
   Simulator& sim() { return sim_; }
   Network& net() { return net_; }

@@ -35,6 +35,12 @@ class ExecutionContext : public Transport {
   /// any traffic to that node (Actor::Bind does this).
   virtual void Register(NodeId node, Actor* actor) = 0;
 
+  /// Delivers `msg` to msg.dst at Now(), bypassing the network (no latency
+  /// or bandwidth model) — the ingress hop of a submission made outside the
+  /// destination's handlers. Safe to call from any thread before and during
+  /// a run; messages posted by one thread arrive in posting order.
+  virtual void Post(Message msg) = 0;
+
   /// Delivers TimerFire `t` to node `self` at absolute time `at`, bypassing
   /// the network. Safe to call from any thread before and during a run.
   virtual void SetTimer(NodeId self, Time at, TimerFire t) = 0;

@@ -75,10 +75,14 @@ void ParallelRuntime::SetTimer(NodeId self, Time at, TimerFire t) {
   workers_[worker_of(self)]->mailbox.PushTimer(self, at, t);
 }
 
-void ParallelRuntime::HandlerDone(Actor* actor, Time /*start*/, Duration /*charged*/) {
+void ParallelRuntime::Post(Message msg) { Send(std::move(msg), 0); }
+
+void ParallelRuntime::HandlerDone(Actor* actor, Time start, Duration charged) {
   // Wall-clock execution: the handler's real elapsed time is its cost; the
-  // charged virtual cost only feeds busy_ns accounting. Resume immediately.
-  actor->FinishHandler(Now());
+  // charged virtual cost only feeds busy_ns accounting. The actor's inbox is
+  // empty (its worker delivers only between handlers), so the resume time is
+  // never used and the clock is not read again.
+  actor->FinishHandler(start + charged);
 }
 
 void ParallelRuntime::Start() {
@@ -121,6 +125,7 @@ void ParallelRuntime::RunOn(int worker, std::function<void()> fn) {
 }
 
 void ParallelRuntime::FireDueTimers(Worker* w) {
+  if (w->timers.empty()) return;  // the common case: no clock read
   const Time now = Now();
   while (!w->timers.empty() && w->timers.top().at <= now) {
     TimerEntry e = w->timers.top();

@@ -85,6 +85,7 @@ class ParallelRuntime : public ExecutionContext {
   // ExecutionContext:
   Time Now() const override;
   void Send(Message msg, Time depart) override;
+  void Post(Message msg) override;
   void Register(NodeId node, Actor* actor) override;
   void SetTimer(NodeId self, Time at, TimerFire t) override;
   void HandlerDone(Actor* actor, Time start, Duration charged) override;

@@ -4,6 +4,11 @@
 
 namespace partdb {
 
+void SimContext::Post(Message msg) {
+  Actor* a = net_->actor(msg.dst);
+  sim_->Schedule(sim_->Now(), [a, m = std::move(msg)]() mutable { a->Deliver(std::move(m)); });
+}
+
 void SimContext::SetTimer(NodeId self, Time at, TimerFire t) {
   Actor* a = net_->actor(self);
   sim_->Schedule(at, [a, t]() {

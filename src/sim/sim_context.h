@@ -17,6 +17,7 @@ class SimContext : public ExecutionContext {
 
   Time Now() const override { return sim_->Now(); }
   void Send(Message msg, Time depart) override { net_->Send(std::move(msg), depart); }
+  void Post(Message msg) override;
   void Register(NodeId node, Actor* actor) override { net_->Register(node, actor); }
   void SetTimer(NodeId self, Time at, TimerFire t) override;
   void HandlerDone(Actor* actor, Time start, Duration charged) override;

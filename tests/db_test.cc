@@ -290,39 +290,151 @@ TEST(OpenLoopDriver, HitsTargetRateWithinTolerance) {
   ExpectReplayClean(*db, mb);
 }
 
-// --- session-side submission batching ---------------------------------------
+// --- session ingress ----------------------------------------------------------
 
-// Mailbox-level coalescing: a burst of foreign-thread submissions schedules
-// exactly ONE ingress wake — the deterministic simulator does not run until
-// Drain pumps it, so every later Submit must ride the first wake. All 50
-// then complete off that single mailbox drain.
-TEST(SessionBatching, BurstCoalescesIntoOneMailboxWake) {
+// A foreign-thread submission is posted to the session actor as one message
+// of its own: a burst is admitted up front (the deterministic simulator does
+// not run until Drain pumps it) and starts in submission order, each
+// transaction under the id its Submit returned.
+TEST(SessionIngress, ForeignBurstStartsInSubmitOrder) {
   const KvWorkloadOptions mb = SmallConfig(4, 0.0);
   auto db = Database::Open(SmallDb(mb, "speculation", RunMode::kSimulated, 1));
   auto session = db->CreateSession();
-  SessionActor& actor = static_cast<LocalSession&>(*session).actor();
   const ProcId proc = db->proc(kKvReadUpdateProc);
+  const uint64_t events_before = db->cluster().sim().events_processed();
 
-  int done = 0;
+  std::vector<TxnId> submitted;
+  std::vector<int> completed;
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(session->Submit(proc, SpArgs(mb, 0, 0), [&](const TxnResult& r) {
-                          EXPECT_TRUE(r.committed);
-                          done++;
-                        }).accepted);
+    const SubmitResult sr = session->Submit(proc, SpArgs(mb, 0, 0), [&, i](const TxnResult& r) {
+      EXPECT_TRUE(r.committed);
+      completed.push_back(i);
+    });
+    ASSERT_TRUE(sr.accepted);
+    submitted.push_back(sr.txn_id);
   }
-  EXPECT_EQ(actor.ingress_wakes(), 1u);  // 49 submissions coalesced
   EXPECT_EQ(session->outstanding(), 50u);
+  EXPECT_EQ(db->cluster().sim().events_processed(), events_before);  // nothing ran yet
+  for (size_t i = 1; i < submitted.size(); ++i) {
+    EXPECT_EQ(TxnSeq(submitted[i]), TxnSeq(submitted[i - 1]) + 1);
+  }
 
   session->Drain();
-  EXPECT_EQ(done, 50);
-  EXPECT_EQ(actor.ingress_wakes(), 1u);  // draining scheduled no extra wakes
-
-  // The batch was consumed: a fresh submission needs (exactly) a fresh wake.
-  EXPECT_TRUE(session->Submit(proc, SpArgs(mb, 0, 0), nullptr).accepted);
-  EXPECT_EQ(actor.ingress_wakes(), 2u);
-  session->Drain();
+  ASSERT_EQ(completed.size(), submitted.size());
+  for (size_t i = 0; i < completed.size(); ++i) EXPECT_EQ(completed[i], static_cast<int>(i));
+  ExpectReplayClean(*db, mb);
+  const std::vector<CommitRecord>& log = db->cluster().commit_log(0);
+  ASSERT_EQ(log.size(), submitted.size());
+  for (size_t i = 0; i < log.size(); ++i) EXPECT_EQ(log[i].txn_id, submitted[i]);
 
   session.reset();
+  db->Close();
+}
+
+// In parallel mode a foreign Submit costs exactly one mailbox push at
+// ingress: a single-partition speculation transaction is then that post, the
+// fragment to its partition and the response back — three pushes, with no
+// timer registration or wake message on top.
+TEST(SessionIngress, ForeignSubmitIsOneMailboxPush) {
+  const KvWorkloadOptions mb = SmallConfig(4, 0.0);
+  auto db = Database::Open(SmallDb(mb, "speculation", RunMode::kParallel, 1));
+  auto session = db->CreateSession();
+  const ProcId proc = db->proc(kKvReadUpdateProc);
+  EXPECT_TRUE(session->Execute(proc, SpArgs(mb, 0, 0)).committed);  // warm up
+
+  constexpr uint64_t kTxns = 20;
+  const uint64_t before = db->Stats().runtime.mailbox_pushed;
+  for (uint64_t i = 0; i < kTxns; ++i) {
+    EXPECT_TRUE(session->Execute(proc, SpArgs(mb, 0, static_cast<PartitionId>(i % 2))).committed);
+  }
+  EXPECT_EQ(db->Stats().runtime.mailbox_pushed - before, 3 * kTxns);
+
+  session.reset();
+  db->Close();
+  ExpectReplayClean(*db, mb);
+}
+
+// Several threads submit into ONE session under an admission bound while
+// another keeps draining it: the lock-free admission and outstanding
+// counters must stay exact — every accepted submission completes exactly
+// once, a refused one never runs (its submitter retries it), and the final
+// Drain returns only after the last callback.
+TEST(SessionIngress, ConcurrentForeignSubmittersDrainExactly) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1500;
+  const KvWorkloadOptions mb = SmallConfig(kThreads, 0.2);
+  DbOptions opts = SmallDb(mb, "speculation", RunMode::kParallel, 1);
+  opts.max_inflight_per_session = 16;
+  auto db = Database::Open(std::move(opts));
+  auto session = db->CreateSession();
+  const ProcId proc = db->proc(kKvReadUpdateProc);
+
+  std::atomic<uint64_t> accepted{0};
+  std::atomic<uint64_t> refused{0};
+  std::atomic<uint64_t> completed{0};
+  std::atomic<int> submitting{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      Rng rng(2000 + static_cast<uint64_t>(t));
+      for (int i = 0; i < kPerThread; ++i) {
+        PayloadPtr args = DrawKvTxn(mb, t, rng);
+        // A refusal hands the arguments back untouched: retry until admitted.
+        while (!session->Submit(proc, args, [&](const TxnResult&) { completed++; }).accepted) {
+          refused++;
+          std::this_thread::yield();
+        }
+        accepted++;
+      }
+      submitting--;
+    });
+  }
+  std::thread drainer([&]() { while (submitting.load() > 0) session->Drain(); });
+  for (auto& t : threads) t.join();
+  drainer.join();
+  session->Drain();
+
+  EXPECT_EQ(accepted, static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_GT(refused, 0u);  // the bound was actually hit
+  EXPECT_EQ(completed, accepted);
+  EXPECT_EQ(session->outstanding(), 0u);
+  session.reset();
+  db->Close();
+  ExpectReplayClean(*db, mb);
+}
+
+// Per-procedure outcomes are recorded without a lock into one shard per
+// session worker. A reader may merge the shards while sessions on both
+// workers keep recording, and the merge still decomposes the window exactly.
+TEST(ProcMetricsShards, ReadableWhileTwoWorkersRecord) {
+  const KvWorkloadOptions mb = SmallConfig(4, 0.2, 0.05);
+  DbOptions opts = SmallDb(mb, "speculation", RunMode::kParallel, 4);
+  opts.session_workers = 2;
+  auto db = Database::Open(std::move(opts));
+  std::atomic<bool> done{false};
+  uint64_t reads = 0;
+  std::thread reader([&]() {
+    while (!done.load()) {
+      reads += db->ProcMetrics().size();
+      std::this_thread::yield();
+    }
+  });
+  ClosedLoopOptions loop;
+  loop.num_clients = mb.num_clients;
+  loop.next = KvInvocations(mb, *db);
+  loop.warmup = Micros(20000);
+  loop.measure = Micros(100000);
+  const Metrics m = RunClosedLoop(*db, loop);
+  done = true;
+  reader.join();
+
+  const std::vector<ProcMetricsSnapshot> procs = db->ProcMetrics();
+  ASSERT_EQ(procs.size(), 1u);
+  EXPECT_GT(reads, 0u);
+  EXPECT_GT(m.committed, 0u);
+  EXPECT_EQ(procs[0].committed, m.committed);
+  EXPECT_EQ(procs[0].user_aborts, m.user_aborts);
+  EXPECT_EQ(procs[0].latency.count(), m.sp_latency.count() + m.mp_latency.count());
   db->Close();
 }
 

@@ -1,7 +1,7 @@
 // Durability tier end-to-end: crash-restart-verify for every scheme (KV and
 // TPC-C), checkpoint + log-truncation round trips, torn-tail tolerance vs
-// mid-file corruption rejection, group-commit acked-subset guarantee, and
-// the log-writer counters.
+// mid-file corruption rejection, group-commit acked-subset guarantee, the
+// group-commit window's anchor, and the log-writer counters.
 //
 // The central invariant (kill-and-recover): every transaction whose
 // completion callback observed crashed() == false must be in the recovered
@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "durability/durability_manager.h"
 #include "durability/log_format.h"
 #include "durability/recovery.h"
 #include "engine/replay.h"
@@ -609,6 +611,74 @@ TEST(DurabilityLogDamage, CorruptCheckpointIsRejected) {
   f.close();
   const RecoveryReport rep = h.Recover();
   EXPECT_FALSE(rep.ok);
+}
+
+// --- group-commit window -----------------------------------------------------
+
+/// Stand-in runtime for the durability manager's wake messages: the first
+/// Send blocks until released, which holds the log writer inside its
+/// previous batch (after the fsync, while it notifies) for as long as the
+/// test wants.
+class HeldSendExec : public ExecutionContext {
+ public:
+  Time Now() const override { return 0; }
+  void Send(Message /*msg*/, Time /*depart*/) override {
+    if (sends_.fetch_add(1) != 0) return;
+    entered_.set_value();
+    released_.wait();
+  }
+  void Post(Message /*msg*/) override {}
+  void Register(NodeId /*node*/, Actor* /*actor*/) override {}
+  void SetTimer(NodeId /*self*/, Time /*at*/, TimerFire /*t*/) override {}
+  void HandlerDone(Actor* /*actor*/, Time /*start*/, Duration /*charged*/) override {}
+
+  void WaitEntered() { entered_.get_future().wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  std::atomic<int> sends_{0};
+  std::promise<void> entered_;
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+// The window runs from a batch's first append, not from when the writer
+// gets back to the queue: a record appended while the writer is still
+// finishing the previous batch becomes durable one window after its own
+// append, not one window after the writer frees up.
+TEST(DurabilityGroupCommit, WindowRunsFromTheBatchsFirstAppend) {
+  constexpr auto kWindow = std::chrono::milliseconds(400);
+  const std::string dir = MakeTempDir("window");
+  HeldSendExec exec;  // outlives the manager's writer threads
+  DurabilityManager::Options o;
+  o.mode = DurabilityMode::kGroupCommit;
+  o.dir = dir;
+  o.num_partitions = 1;
+  o.group_commit_window = std::chrono::nanoseconds(kWindow).count();
+  o.procs.push_back(LogProcEntry{0, kKvReadUpdateProc});
+  DurabilityManager dm(std::move(o), {DurabilityManager::PartitionSeed{}});
+  dm.Start(&exec);
+  PartitionLog* log = dm.log(0);
+  auto args = std::make_shared<KvArgs>();
+  args->keys.resize(1);
+  args->keys[0].push_back(MicrobenchKey(0, 0, 0));
+
+  const TxnId first = MakeTxnId(1, 0);
+  log->Append(first, false, 0, args, {});
+  ASSERT_FALSE(dm.SealOrDefer(first, 1));  // parked: its wake holds the writer
+  exec.WaitEntered();  // first batch written and fsynced; writer still busy
+  const auto appended = std::chrono::steady_clock::now();
+  log->Append(MakeTxnId(1, 1), false, 0, args, {});
+  std::this_thread::sleep_for(kWindow * 3 / 4);
+  exec.Release();
+  log->Flush();
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - appended);
+
+  EXPECT_GE(waited, kWindow);  // the second batch still got its whole window
+  EXPECT_LT(waited, kWindow + kWindow / 2) << "window re-armed when the writer freed up";
+  dm.Shutdown();
+  std::filesystem::remove_all(dir);
 }
 
 // --- modes and counters ----------------------------------------------------

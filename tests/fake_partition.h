@@ -5,6 +5,7 @@
 #define PARTDB_TESTS_FAKE_PARTITION_H_
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -70,8 +71,9 @@ class FakePartition : public PartitionExec {
   }
   void SetTimer(Duration d, TimerFire t) override { timers.emplace_back(d, t); }
   void LogCommit(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                 const std::vector<PayloadPtr>& round_inputs) override {
-    log.push_back(CommitRecord{id, multi_partition, proc, args, round_inputs});
+                 std::span<const PayloadPtr> round_inputs) override {
+    log.push_back(
+        CommitRecord{id, multi_partition, proc, args, {round_inputs.begin(), round_inputs.end()}});
   }
   Engine& engine() override { return *engine_; }
   const CostModel& cost() const override { return cost_; }

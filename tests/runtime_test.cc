@@ -1,13 +1,16 @@
 // Tests for the runtime layer: deterministic-simulation regression (same
 // seed => bit-identical run), the parallel runtime's MPSC mailbox ordering
-// guarantees, and sim-vs-parallel commit-log replay equivalence.
+// guarantees, direct delivery and timers on the parallel workers, and
+// sim-vs-parallel commit-log replay equivalence.
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "kv/kv_procedures.h"
 #include "runtime/mailbox.h"
+#include "runtime/parallel_runtime.h"
 #include "test_util.h"
 
 namespace partdb {
@@ -164,6 +167,169 @@ TEST(Mailbox, CarriesAllItemKindsInOrder) {
   EXPECT_EQ(kinds[1], MailboxNode::Kind::kTimer);
   EXPECT_EQ(kinds[2], MailboxNode::Kind::kControl);
   EXPECT_TRUE(control_ran);
+}
+
+// ---------------------------------------------------------------------------
+// Parallel delivery: a worker runs each delivered message directly (the
+// actor's inbox is never used), keeps per-sender FIFO whether the sender
+// uses Send or Post, and fires timers registered after its heap ran empty.
+
+/// Records per-sender sequence numbers (TimerFire{MakeTxnId(sender, seq)})
+/// and, for generation-tagged timer fires, when they arrived. Touched only
+/// by its worker until the runtime is stopped.
+class RecordingActor : public Actor {
+ public:
+  explicit RecordingActor(int senders) : Actor("recorder"), next_(senders, 0) {}
+
+  uint64_t received = 0;
+  uint64_t out_of_order = 0;
+  uint64_t queued = 0;  // handlers that found a message waiting in the inbox
+  std::vector<Time> timer_set_at;
+  std::vector<Time> timer_fired_at;
+
+ protected:
+  void OnMessage(Message& msg, ActorContext& ctx) override {
+    ctx.Charge(Micros(1));
+    if (inbox_depth() != 0) ++queued;
+    const auto& t = std::get<TimerFire>(msg.body);
+    if (t.generation != 0) {  // a timer this actor armed
+      timer_fired_at.push_back(ctx.start());
+      return;
+    }
+    const int src = TxnClient(t.txn_id);
+    if (src == kTimerKick) {  // arm a 2 ms timer from inside a handler
+      timer_set_at.push_back(ctx.start());
+      ctx.SetTimer(2 * kMillisecond, TimerFire{kInvalidTxn, timer_set_at.size()});
+      return;
+    }
+    if (TxnSeq(t.txn_id) != next_[src]) ++out_of_order;
+    next_[src] = TxnSeq(t.txn_id) + 1;
+    ++received;
+  }
+
+ public:
+  static constexpr int kTimerKick = 1000;
+
+ private:
+  std::vector<uint32_t> next_;
+};
+
+Message Tagged(NodeId dst, int sender, uint32_t seq) {
+  Message m;
+  m.src = dst;
+  m.dst = dst;
+  m.body = TimerFire{MakeTxnId(sender, seq), 0};
+  return m;
+}
+
+TEST(ParallelDelivery, PerSenderFifoWithoutInboxQueueing) {
+  constexpr int kSenders = 4;
+  constexpr uint32_t kPerSender = 20000;
+  ParallelRuntime rt(1);
+  rt.MapNode(0, 0);
+  RecordingActor actor(kSenders);
+  actor.Bind(&rt, 0);
+  rt.Start();
+
+  std::vector<std::thread> senders;
+  for (int src = 0; src < kSenders; ++src) {
+    senders.emplace_back([&rt, src]() {
+      for (uint32_t seq = 0; seq < kPerSender; ++seq) {
+        // Half the senders go through the transport, half post directly:
+        // both are the same mailbox and keep the sender's order.
+        if (src % 2 == 0) {
+          rt.Send(Tagged(0, src, seq), /*depart=*/0);
+        } else {
+          rt.Post(Tagged(0, src, seq));
+        }
+      }
+    });
+  }
+  for (auto& t : senders) t.join();
+  ASSERT_TRUE(rt.WaitQuiescent(std::chrono::seconds(30)));
+  rt.Stop();
+
+  EXPECT_EQ(actor.received, static_cast<uint64_t>(kSenders) * kPerSender);
+  EXPECT_EQ(actor.out_of_order, 0u);
+  EXPECT_EQ(actor.queued, 0u);
+  EXPECT_EQ(actor.inbox_depth(), 0u);
+  EXPECT_EQ(actor.busy_ns(), static_cast<Duration>(actor.received) * Micros(1));
+}
+
+// The worker skips the clock read when its timer heap is empty; a timer
+// armed from a handler after that must still fire, no earlier than its
+// deadline.
+TEST(ParallelDelivery, TimersArmedOnAnEmptyHeapStillFire) {
+  ParallelRuntime rt(1);
+  rt.MapNode(0, 0);
+  RecordingActor actor(1);
+  actor.Bind(&rt, 0);
+  rt.Start();
+  for (uint32_t i = 0; i < 5; ++i) {
+    rt.Post(Tagged(0, RecordingActor::kTimerKick, i));
+    ASSERT_TRUE(rt.WaitQuiescent(std::chrono::seconds(10)));  // heap drained again
+  }
+  rt.Stop();
+
+  ASSERT_EQ(actor.timer_set_at.size(), 5u);
+  ASSERT_EQ(actor.timer_fired_at.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_GE(actor.timer_fired_at[i] - actor.timer_set_at[i], 2 * kMillisecond) << i;
+  }
+}
+
+// Locking's distributed-deadlock timeouts ride the same timer path. A
+// two-round transaction holds its locks on both partitions while its
+// continuation stalls; a second multi-partition transaction on the same
+// keys waits on both, must be aborted by the lock timeout (not hang), and
+// commits on a retry once the first one finishes.
+TEST(ParallelDelivery, LockTimeoutsFireUnderLocking) {
+  KvWorkloadOptions mb;
+  mb.num_partitions = 2;
+  mb.num_clients = 2;
+  DbOptions opts = KvDbOptions(mb, "locking", RunMode::kParallel, 17);
+  opts.max_sessions = 2;
+  opts.session_workers = 2;  // the stalled continuation blocks only its own worker
+  opts.lock_timeout = Micros(2000);
+  std::atomic<bool> stalled{false};
+  using Prev = std::vector<std::pair<PartitionId, PayloadPtr>>;
+  ProcedureDescriptor& d = opts.procedures.at(0);
+  d.round_input = [inner = d.round_input, &stalled](const Payload& a, int r, const Prev& p) {
+    stalled.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    return inner(a, r, p);
+  };
+  auto db = Database::Open(std::move(opts));
+  const ProcId proc = db->proc(kKvReadUpdateProc);
+  auto mp_args = [&mb](int rounds) {
+    auto a = std::make_shared<KvArgs>();
+    a->keys.resize(mb.num_partitions);
+    for (PartitionId p = 0; p < mb.num_partitions; ++p) {
+      a->keys[p].push_back(MicrobenchKey(0, p, 0));
+    }
+    a->rounds = rounds;
+    return a;
+  };
+
+  auto holder = db->CreateSession();
+  auto waiter = db->CreateSession();
+  db->BeginMeasurement();
+  bool holder_committed = false;
+  const SubmitResult held =
+      holder->Submit(proc, mp_args(2), [&](const TxnResult& r) { holder_committed = r.committed; });
+  ASSERT_TRUE(held.accepted);
+  while (!stalled.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  const TxnResult r = waiter->Execute(proc, mp_args(1));
+  holder->Drain();
+  const Metrics m = db->EndMeasurement();
+
+  EXPECT_TRUE(holder_committed);
+  EXPECT_TRUE(r.committed);
+  EXPECT_GT(r.attempts, 1u);
+  EXPECT_GT(m.timeout_aborts, 0u);
+  holder.reset();
+  waiter.reset();
+  db->Close();
 }
 
 // ---------------------------------------------------------------------------
