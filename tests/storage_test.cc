@@ -88,11 +88,14 @@ TEST(BPlusTree, MetersNodeVisits) {
   EXPECT_GE(m.index_nodes, 4u);
 }
 
+// No padding: gtest names each case by the param's raw bytes, so padding
+// bytes (indeterminate) would make the case names differ between runs.
 struct BTreeParam {
   uint64_t seed;
-  int ops;
+  int64_t ops;
   uint64_t key_space;
 };
+static_assert(sizeof(BTreeParam) == 24, "BTreeParam must have no padding");
 
 class BTreeRandomized : public ::testing::TestWithParam<BTreeParam> {};
 
@@ -102,7 +105,7 @@ TEST_P(BTreeRandomized, MatchesReferenceModel) {
   std::map<uint64_t, uint64_t> ref;
   Rng rng(param.seed);
 
-  for (int i = 0; i < param.ops; ++i) {
+  for (int64_t i = 0; i < param.ops; ++i) {
     const uint64_t k = rng.Uniform(param.key_space);
     switch (rng.Uniform(4)) {
       case 0:
