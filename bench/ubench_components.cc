@@ -170,6 +170,85 @@ void BM_TpccNewOrderExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_TpccNewOrderExecute);
 
+// The growing-table benches commit every fragment, so ORDER / ORDER_LINE
+// grow, leaves split and NEW_ORDER churns as in a real run (the rollback
+// bench above never reaches those paths).
+tpcc::TpccWorkloadConfig GrowingTpccConfig() {
+  tpcc::TpccWorkloadConfig cfg;
+  cfg.scale.num_warehouses = 2;
+  cfg.scale.num_partitions = 1;
+  cfg.scale.items = 1000;
+  cfg.scale.customers_per_district = 100;
+  cfg.scale.initial_orders_per_district = 100;
+  cfg.pct_new_order = 100;
+  cfg.pct_payment = cfg.pct_order_status = cfg.pct_delivery = cfg.pct_stock_level = 0;
+  return cfg;
+}
+
+/// NewOrder draws cycled by the benches (drawn up front: the timed loop
+/// measures Execute, not argument generation).
+std::vector<PayloadPtr> NewOrderDraws(const tpcc::TpccWorkloadConfig& cfg, int n) {
+  Rng rng(1);
+  std::vector<PayloadPtr> draws;
+  for (int i = 0; i < n; ++i) draws.push_back(tpcc::DrawTpccTxn(cfg, i, rng).args);
+  return draws;
+}
+
+/// Executes one fragment with undo on and commits it.
+void ExecuteCommitted(tpcc::TpccEngine& engine, const Payload& args) {
+  WorkMeter m;
+  UndoBuffer undo;
+  ExecResult r = engine.Execute(args, 0, nullptr, &undo, &m);
+  benchmark::DoNotOptimize(r);
+}
+
+void BM_TpccNewOrderGrowing(benchmark::State& state) {
+  const tpcc::TpccWorkloadConfig cfg = GrowingTpccConfig();
+  tpcc::TpccEngine engine(cfg.scale, 0, 1);
+  const std::vector<PayloadPtr> draws = NewOrderDraws(cfg, 4096);
+  size_t i = 0;
+  for (auto _ : state) ExecuteCommitted(engine, *draws[i++ % draws.size()]);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TpccNewOrderGrowing);
+
+void BM_TpccDeliveryGrowing(benchmark::State& state) {
+  const tpcc::TpccWorkloadConfig cfg = GrowingTpccConfig();
+  tpcc::TpccEngine engine(cfg.scale, 0, 1);
+  const std::vector<PayloadPtr> draws = NewOrderDraws(cfg, 4096);
+  tpcc::DeliveryArgs delivery;
+  delivery.w_id = 1;
+  delivery.carrier_id = 3;
+  delivery.date = 2;
+  size_t i = 0;
+  for (auto _ : state) {
+    // Refill untimed: about one new order per district per delivery.
+    state.PauseTiming();
+    for (int k = 0; k < 20; ++k) ExecuteCommitted(engine, *draws[i++ % draws.size()]);
+    state.ResumeTiming();
+    ExecuteCommitted(engine, delivery);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TpccDeliveryGrowing);
+
+void BM_TpccStockLevelGrowing(benchmark::State& state) {
+  const tpcc::TpccWorkloadConfig cfg = GrowingTpccConfig();
+  tpcc::TpccEngine engine(cfg.scale, 0, 1);
+  for (const PayloadPtr& args : NewOrderDraws(cfg, 20000)) ExecuteCommitted(engine, *args);
+  tpcc::StockLevelArgs sl;
+  sl.w_id = 1;
+  sl.threshold = 15;
+  int32_t d = 0;
+  for (auto _ : state) {
+    sl.d_id = d++ % tpcc::TpccScale::kDistrictsPerWarehouse + 1;
+    WorkMeter m;
+    benchmark::DoNotOptimize(engine.Execute(sl, 0, nullptr, nullptr, &m));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TpccStockLevelGrowing);
+
 }  // namespace
 }  // namespace partdb
 

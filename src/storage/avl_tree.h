@@ -1,6 +1,7 @@
 // AVL binary search tree. The paper represents some TPC-C tables as binary
 // trees; we use this for the NEW_ORDER index, whose workload (insert at the
-// high end, delete-min per district) exercises rotations heavily.
+// high end, delete-min per district) exercises rotations heavily. Nodes come
+// from a NodePool, so that churn recycles nodes instead of calling malloc.
 #ifndef PARTDB_STORAGE_AVL_TREE_H_
 #define PARTDB_STORAGE_AVL_TREE_H_
 
@@ -9,6 +10,7 @@
 
 #include "common/logging.h"
 #include "engine/work_meter.h"
+#include "storage/node_pool.h"
 
 namespace partdb {
 
@@ -32,12 +34,16 @@ class AvlTree {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Removes every entry (checkpoint restore rebuilds from scratch).
+  /// Removes every entry (checkpoint restore rebuilds from scratch). The
+  /// nodes go back to the pool for the rebuild to reuse.
   void Clear() {
     FreeRec(root_);
     root_ = nullptr;
     size_ = 0;
   }
+
+  /// Bytes the node pool holds (live and recycled nodes).
+  size_t reserved_bytes() const { return nodes_.reserved_bytes(); }
 
   V* Find(const K& key, WorkMeter* m = nullptr) {
     Node* n = root_;
@@ -148,7 +154,7 @@ class AvlTree {
     if (n == nullptr) {
       *inserted = true;
       Visit(m);
-      return new Node(key, std::move(value));
+      return nodes_.New(key, std::move(value));
     }
     Visit(m);
     if (key < n->key) {
@@ -172,7 +178,7 @@ class AvlTree {
       *erased = true;
       if (n->left == nullptr || n->right == nullptr) {
         Node* child = n->left != nullptr ? n->left : n->right;
-        delete n;
+        nodes_.Delete(n);
         return child;  // may be nullptr
       }
       // Two children: replace with in-order successor.
@@ -193,7 +199,7 @@ class AvlTree {
     if (n == nullptr) return;
     FreeRec(n->left);
     FreeRec(n->right);
-    delete n;
+    nodes_.Delete(n);
   }
 
   template <typename Fn>
@@ -219,6 +225,7 @@ class AvlTree {
     return 1 + std::max(lh, rh);
   }
 
+  NodePool<Node> nodes_;
   Node* root_ = nullptr;
   size_t size_ = 0;
 };

@@ -2,6 +2,7 @@
 // (orders, order lines, customer name index). Classic copy-up leaf splits,
 // borrow/merge rebalancing on erase, linked leaves for iteration. Node visits
 // are reported to the WorkMeter so index depth shows up in simulated cost.
+// Nodes come from per-tree NodePools, so splits on a warm tree never malloc.
 #ifndef PARTDB_STORAGE_BTREE_H_
 #define PARTDB_STORAGE_BTREE_H_
 
@@ -11,6 +12,7 @@
 
 #include "common/logging.h"
 #include "engine/work_meter.h"
+#include "storage/node_pool.h"
 
 namespace partdb {
 
@@ -39,7 +41,7 @@ class BPlusTree {
   };
 
  public:
-  BPlusTree() { root_ = new LeafNode(); }
+  BPlusTree() { root_ = leaves_.New(); }
   ~BPlusTree() { FreeRec(root_); }
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
@@ -47,12 +49,16 @@ class BPlusTree {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Removes every entry (checkpoint restore rebuilds from scratch).
+  /// Removes every entry (checkpoint restore rebuilds from scratch). The
+  /// nodes go back to the pools for the rebuild to reuse.
   void Clear() {
     FreeRec(root_);
-    root_ = new LeafNode();
+    root_ = leaves_.New();
     size_ = 0;
   }
+
+  /// Bytes the node pools hold (live and recycled nodes).
+  size_t reserved_bytes() const { return leaves_.reserved_bytes() + inners_.reserved_bytes(); }
 
   /// Forward iterator over (key, value) pairs in key order.
   class Iterator {
@@ -142,7 +148,7 @@ class BPlusTree {
     bool inserted = InsertRec(root_, key, std::move(value), &split, m);
     if (!inserted) return false;
     if (split.right != nullptr) {
-      auto* new_root = new InternalNode();
+      auto* new_root = inners_.New();
       new_root->n = 1;
       new_root->keys[0] = split.sep;
       new_root->child[0] = root_;
@@ -160,7 +166,7 @@ class BPlusTree {
     if (!root_->leaf && root_->n == 0) {
       Node* old = root_;
       root_ = static_cast<InternalNode*>(old)->child[0];
-      delete static_cast<InternalNode*>(old);
+      inners_.Delete(static_cast<InternalNode*>(old));
     }
     --size_;
     return true;
@@ -275,8 +281,8 @@ class BPlusTree {
     return true;
   }
 
-  static void SplitLeaf(LeafNode* leaf, SplitResult* split) {
-    auto* right = new LeafNode();
+  void SplitLeaf(LeafNode* leaf, SplitResult* split) {
+    auto* right = leaves_.New();
     const int half = kCap / 2;
     right->n = leaf->n - half;
     for (int i = 0; i < right->n; ++i) {
@@ -292,8 +298,8 @@ class BPlusTree {
     split->right = right;
   }
 
-  static void SplitInternal(InternalNode* in, SplitResult* split) {
-    auto* right = new InternalNode();
+  void SplitInternal(InternalNode* in, SplitResult* split) {
+    auto* right = inners_.New();
     const int mid = kCap / 2;
     split->sep = std::move(in->keys[mid]);
     right->n = in->n - mid - 1;
@@ -421,7 +427,7 @@ class BPlusTree {
       l->n += r->n;
       l->next = r->next;
       if (l->next != nullptr) l->next->prev = l;
-      delete r;
+      leaves_.Delete(r);
     } else {
       auto* l = static_cast<InternalNode*>(ln);
       auto* r = static_cast<InternalNode*>(rn);
@@ -429,7 +435,7 @@ class BPlusTree {
       for (int i = 0; i < r->n; ++i) l->keys[l->n + 1 + i] = std::move(r->keys[i]);
       for (int i = 0; i <= r->n; ++i) l->child[l->n + 1 + i] = r->child[i];
       l->n += r->n + 1;
-      delete r;
+      inners_.Delete(r);
     }
     for (int i = idx; i + 1 < parent->n; ++i) {
       parent->keys[i] = std::move(parent->keys[i + 1]);
@@ -442,9 +448,9 @@ class BPlusTree {
     if (!node->leaf) {
       auto* in = static_cast<InternalNode*>(node);
       for (int i = 0; i <= in->n; ++i) FreeRec(in->child[i]);
-      delete in;
+      inners_.Delete(in);
     } else {
-      delete static_cast<LeafNode*>(node);
+      leaves_.Delete(static_cast<LeafNode*>(node));
     }
   }
 
@@ -473,6 +479,8 @@ class BPlusTree {
     return true;
   }
 
+  NodePool<LeafNode> leaves_;
+  NodePool<InternalNode> inners_;
   Node* root_;
   size_t size_ = 0;
 };

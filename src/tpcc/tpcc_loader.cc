@@ -9,19 +9,40 @@
 namespace partdb {
 namespace tpcc {
 
-Str16 LastName(int n) {
+namespace {
+/// The spec's ten last-name syllables, by digit.
+const char* Syllable(int digit) {
   static const char* kSyllables[10] = {"BAR",   "OUGHT", "ABLE", "PRI",   "PRES",
                                        "ESE",   "ANTI",  "CALLY", "ATION", "EING"};
+  return kSyllables[digit];
+}
+}  // namespace
+
+Str16 LastName(int n) {
   char buf[16];
   size_t len = 0;
   const int digits[3] = {(n / 100) % 10, (n / 10) % 10, n % 10};
   for (int d : digits) {
-    const size_t l = std::strlen(kSyllables[d]);
+    const size_t l = std::strlen(Syllable(d));
     PARTDB_CHECK(len + l <= sizeof(buf));
-    std::memcpy(buf + len, kSyllables[d], l);
+    std::memcpy(buf + len, Syllable(d), l);
     len += l;
   }
   return Str16(std::string_view(buf, len));
+}
+
+int LastNameNumber(const Str16& name) {
+  // No syllable is a prefix of another, so at most one matches.
+  std::string_view rest = name.view();
+  int n = 0;
+  for (int i = 0; i < 3; ++i) {
+    int d = 0;
+    while (d < 10 && !rest.starts_with(Syllable(d))) ++d;
+    if (d == 10) return -1;
+    n = n * 10 + d;
+    rest.remove_prefix(std::strlen(Syllable(d)));
+  }
+  return rest.empty() ? n : -1;
 }
 
 namespace {

@@ -21,6 +21,9 @@ inline int32_t NURand(Rng& rng, int32_t a, int32_t x, int32_t y, int32_t c) {
 /// Customer last name from the spec's ten syllables (clause 4.3.2.3).
 Str16 LastName(int n);
 
+/// Inverse of LastName: the number 0..999 a syllable name spells, or -1.
+int LastNameNumber(const Str16& name);
+
 /// Deterministic alpha string of length in [lo, hi].
 template <size_t N>
 InlineString<N> RandAlpha(Rng& rng, int lo, int hi) {

@@ -99,6 +99,54 @@ PayloadPtr DrawStockLevel(int32_t w, Rng& rng) {
   return args;
 }
 
+bool InRange(int32_t v, int32_t lo, int32_t hi) { return v >= lo && v <= hi; }
+
+/// A customer named by id, or by a last name every district has: the loader
+/// gives customers 1..min(1000, n) the names LastName(0..) and the rest
+/// reuse those.
+bool ValidCustomer(const TpccScale& scale, int32_t c_id, const Str16& c_last) {
+  if (c_id != 0) return InRange(c_id, 1, scale.customers_per_district);
+  return InRange(LastNameNumber(c_last), 0, std::min(1000, scale.customers_per_district) - 1);
+}
+
+/// True when every id and range in `args` names loaded data (an invalid item
+/// id is NewOrder's user abort, so items are not checked here).
+bool ArgsInScale(const TpccScale& scale, const TpccArgs& args) {
+  const auto warehouse = [&](int32_t w) { return InRange(w, 1, scale.num_warehouses); };
+  const auto district = [](int32_t d) { return InRange(d, 1, TpccScale::kDistrictsPerWarehouse); };
+  switch (args.kind) {
+    case TpccArgs::Kind::kNewOrder: {
+      const auto& a = static_cast<const NewOrderArgs&>(args);
+      if (!warehouse(a.w_id) || !district(a.d_id) ||
+          !InRange(a.c_id, 1, scale.customers_per_district) ||
+          !InRange(static_cast<int32_t>(a.lines.size()), 1, 15)) {
+        return false;
+      }
+      return std::all_of(a.lines.begin(), a.lines.end(), [&](const NewOrderArgs::Line& l) {
+        return warehouse(l.supply_w_id) && InRange(l.quantity, 1, 10);
+      });
+    }
+    case TpccArgs::Kind::kPayment: {
+      const auto& a = static_cast<const PaymentArgs&>(args);
+      return warehouse(a.w_id) && district(a.d_id) && warehouse(a.c_w_id) &&
+             district(a.c_d_id) && ValidCustomer(scale, a.c_id, a.c_last);
+    }
+    case TpccArgs::Kind::kOrderStatus: {
+      const auto& a = static_cast<const OrderStatusArgs&>(args);
+      return warehouse(a.w_id) && district(a.d_id) && ValidCustomer(scale, a.c_id, a.c_last);
+    }
+    case TpccArgs::Kind::kDelivery: {
+      const auto& a = static_cast<const DeliveryArgs&>(args);
+      return warehouse(a.w_id) && InRange(a.carrier_id, 1, 10);
+    }
+    case TpccArgs::Kind::kStockLevel: {
+      const auto& a = static_cast<const StockLevelArgs&>(args);
+      return warehouse(a.w_id) && district(a.d_id) && InRange(a.threshold, 10, 20);
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 const char* TpccProcName(TpccArgs::Kind kind) {
@@ -121,6 +169,7 @@ const char* TpccProcName(TpccArgs::Kind kind) {
 TxnRouting RouteTpcc(const TpccScale& scale, const Payload& payload) {
   const auto& args = PayloadCast<TpccArgs>(payload);
   TxnRouting r;
+  if (!ArgsInScale(scale, args)) return r;
   switch (args.kind) {
     case TpccArgs::Kind::kNewOrder: {
       const auto& a = static_cast<const NewOrderArgs&>(args);

@@ -36,6 +36,9 @@ const char* TpccProcName(TpccArgs::Kind kind);
 /// communication round. NewOrder's invalid-item abort validates before any
 /// write (paper modification #1), so no procedure needs undo (`can_abort`
 /// stays false).
+/// Arguments outside `scale` (warehouse, district or customer ids, a last
+/// name no customer has, 1..15 order lines, quantity, carrier or threshold
+/// out of the spec's range) get an empty route, which DbServer refuses.
 TxnRouting RouteTpcc(const TpccScale& scale, const Payload& args);
 
 /// Descriptors for all five transactions (register via DbOptions::procedures;

@@ -4,12 +4,15 @@
 // uses (RunClosedLoop over a DbHandle — no per-transport branches), with
 // commit-log serial replay verifying final-state serializability. Plus:
 // remote Execute result payloads, measurement windows over the wire,
-// admission-control parity between embedded and remote sessions, and a
-// custom (non-KV, non-TPC-C) procedure served over TCP.
+// admission-control parity between embedded and remote sessions, a custom
+// (non-KV, non-TPC-C) procedure served over TCP, and well-formed TPC-C
+// requests whose ids the database does not hold.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "db/closed_loop.h"
 #include "gtest/gtest.h"
 #include "net/db_server.h"
+#include "net/frame.h"
 #include "net/remote_db.h"
 #include "test_util.h"
 #include "tpcc/tpcc_consistency.h"
@@ -126,6 +130,130 @@ TEST(NetLoopback, TpccFullMixAllSchemesReplayVerified) {
     }
     EXPECT_TRUE(tpcc::CheckConsistency(dbs).empty()) << scheme;
   }
+}
+
+/// One raw client connection: reads the Hello, sends one request for `proc`
+/// with `args`, and returns the response status, or nullopt when the server
+/// closed the connection instead of answering.
+std::optional<TxnStatus> RawRequest(int port, const char* proc, const Payload& args) {
+  TcpConn conn = TcpConn::ConnectTo("127.0.0.1", port);
+  EXPECT_TRUE(conn.valid());
+  Frame hello_frame;
+  HelloBody hello;
+  if (!ReadFrame(conn, &hello_frame) || !DecodeHello(hello_frame.body, &hello)) {
+    ADD_FAILURE() << "no Hello";
+    return std::nullopt;
+  }
+  RequestHeader h;
+  h.session_id = 1;
+  h.seq = 1;
+  const auto& names = hello.proc_names;
+  h.proc = static_cast<ProcId>(std::find(names.begin(), names.end(), proc) - names.begin());
+  std::string out;
+  AppendRequest(&out, h, args);
+  EXPECT_TRUE(conn.WriteAll(out.data(), out.size()));
+  Frame resp;
+  if (!ReadFrame(conn, &resp)) return std::nullopt;
+  EXPECT_EQ(resp.type, FrameType::kResponse);
+  WireReader r(resp.body);
+  ResponseHeader rh;
+  EXPECT_TRUE(DecodeResponseHeader(r, &rh));
+  return rh.status;
+}
+
+// A well-formed TPC-C request naming ids outside the loaded scale (an unknown
+// customer, last name, district or supply warehouse, or a range the spec
+// rules out) must not reach the engine's CHECKs: the server drops that
+// connection, and every other connection keeps working.
+TEST(NetLoopback, OutOfScaleTpccRequestsDropOnlyTheirConnection) {
+  tpcc::TpccScale scale;
+  scale.num_warehouses = 2;
+  scale.num_partitions = 2;
+  scale.items = 200;
+  scale.customers_per_district = 30;
+  scale.initial_orders_per_district = 30;
+  auto db = Database::Open(tpcc::TpccDbOptions(scale, "speculation", RunMode::kParallel, 4, 7));
+  DbServer server(db.get());
+  ConnectOptions copts;
+  copts.procedures = tpcc::TpccProcedures(scale);
+  auto remote = Connect("127.0.0.1", server.port(), std::move(copts));
+  auto bystander = remote->CreateSession();
+
+  tpcc::PaymentArgs pay;
+  pay.w_id = 1;
+  pay.d_id = 1;
+  pay.c_w_id = 2;
+  pay.c_d_id = 3;
+  pay.c_id = 5;
+  pay.amount = 12.5;
+  pay.date = 1;
+  tpcc::NewOrderArgs order;
+  order.w_id = 1;
+  order.d_id = 2;
+  order.c_id = 3;
+  order.entry_d = 1;
+  order.lines = {{7, 1, 2}, {8, 2, 3}};
+  tpcc::OrderStatusArgs status;
+  status.w_id = 2;
+  status.d_id = 4;
+  status.c_id = 6;
+
+  std::vector<std::pair<const char*, std::shared_ptr<Payload>>> bad;
+  const auto add_payment = [&](auto&& edit) {
+    auto a = std::make_shared<tpcc::PaymentArgs>(pay);
+    edit(*a);
+    bad.emplace_back(tpcc::kTpccPaymentProc, a);
+  };
+  const auto add_order = [&](auto&& edit) {
+    auto a = std::make_shared<tpcc::NewOrderArgs>(order);
+    edit(*a);
+    bad.emplace_back(tpcc::kTpccNewOrderProc, a);
+  };
+  add_payment([](tpcc::PaymentArgs& a) { a.c_id = 99999; });
+  add_payment([](tpcc::PaymentArgs& a) {
+    a.c_id = 0;
+    a.c_last = tpcc::Str16("NOSUCHNAME");
+  });
+  add_payment([](tpcc::PaymentArgs& a) { a.d_id = 11; });
+  add_order([](tpcc::NewOrderArgs& a) { a.c_id = 99999; });
+  add_order([](tpcc::NewOrderArgs& a) { a.lines[0].supply_w_id = 0; });
+  add_order([](tpcc::NewOrderArgs& a) { a.lines.assign(16, a.lines[0]); });
+  {
+    auto a = std::make_shared<tpcc::OrderStatusArgs>(status);
+    a->c_id = 99999;
+    bad.emplace_back(tpcc::kTpccOrderStatusProc, a);
+  }
+  {
+    auto a = std::make_shared<tpcc::DeliveryArgs>();
+    a->w_id = 2;
+    a->carrier_id = 0;
+    bad.emplace_back(tpcc::kTpccDeliveryProc, a);
+  }
+  {
+    auto a = std::make_shared<tpcc::StockLevelArgs>();
+    a->w_id = 3;
+    a->d_id = 1;
+    a->threshold = 15;
+    bad.emplace_back(tpcc::kTpccStockLevelProc, a);
+  }
+
+  for (const auto& [proc, args] : bad) {
+    EXPECT_EQ(RawRequest(server.port(), proc, *args), std::nullopt) << proc;
+  }
+  EXPECT_EQ(server.Stats().protocol_errors, bad.size());
+
+  // A fresh connection's valid transactions, and the connection that was
+  // open all along, still commit.
+  EXPECT_EQ(RawRequest(server.port(), tpcc::kTpccPaymentProc, pay), TxnStatus::kCommitted);
+  EXPECT_EQ(RawRequest(server.port(), tpcc::kTpccNewOrderProc, order), TxnStatus::kCommitted);
+  auto status_args = std::make_shared<tpcc::OrderStatusArgs>(status);
+  EXPECT_TRUE(bystander->Execute(tpcc::kTpccOrderStatusProc, status_args).committed);
+  EXPECT_EQ(server.Stats().protocol_errors, bad.size());
+
+  bystander.reset();
+  remote.reset();
+  server.Stop();
+  db->Close();
 }
 
 // Remote Execute round trip: the result payload (the values the transaction

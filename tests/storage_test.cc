@@ -1,6 +1,6 @@
-// Property and unit tests for the storage substrates: B+tree, AVL tree,
-// open-addressing hash table, and undo buffer. The ordered structures are
-// checked against std::map reference models under randomized operation
+// Property and unit tests for the storage substrates: node pool, B+tree, AVL
+// tree, open-addressing hash table, and undo buffer. The ordered structures
+// are checked against std::map reference models under randomized operation
 // streams, with structural invariants validated throughout.
 #include <map>
 #include <set>
@@ -11,10 +11,51 @@
 #include "storage/avl_tree.h"
 #include "storage/btree.h"
 #include "storage/hash_table.h"
+#include "storage/node_pool.h"
 #include "storage/undo_buffer.h"
 
 namespace partdb {
 namespace {
+
+// ------------------------------------------------------------- node pool --
+
+struct PoolNode {
+  uint64_t words[4] = {};
+};
+
+TEST(NodePool, RecyclesFreedNodesBeforeCarving) {
+  NodePool<PoolNode> pool;
+  EXPECT_EQ(pool.reserved_bytes(), 0u);
+  PoolNode* a = pool.New();
+  PoolNode* b = pool.New();
+  const size_t one_chunk = pool.reserved_bytes();
+  EXPECT_GT(one_chunk, 0u);
+  pool.Delete(a);
+  EXPECT_EQ(pool.New(), a);  // LIFO reuse
+  // Filling the first chunk and one more node adds exactly one chunk.
+  std::vector<PoolNode*> live{a, b};
+  for (size_t i = 2; i <= NodePool<PoolNode>::kSlotsPerChunk; ++i) live.push_back(pool.New());
+  EXPECT_EQ(pool.reserved_bytes(), 2 * one_chunk);
+  for (PoolNode* n : live) pool.Delete(n);
+  for (size_t i = 0; i < live.size(); ++i) pool.New();
+  EXPECT_EQ(pool.reserved_bytes(), 2 * one_chunk);
+}
+
+TEST(NodePool, FreedNodesArePoisonedUnderAsan) {
+#ifdef PARTDB_NODE_POOL_ASAN
+  NodePool<PoolNode> pool;
+  PoolNode* a = pool.New();
+  pool.New();
+  pool.Delete(a);
+  EXPECT_TRUE(__asan_address_is_poisoned(a));
+  EXPECT_TRUE(__asan_address_is_poisoned(&a->words[3]));
+  PoolNode* again = pool.New();
+  ASSERT_EQ(again, a);
+  EXPECT_FALSE(__asan_address_is_poisoned(&again->words[3]));
+#else
+  GTEST_SKIP() << "AddressSanitizer is off in this build";
+#endif
+}
 
 // ---------------------------------------------------------------- B+tree --
 
@@ -102,50 +143,64 @@ class BTreeRandomized : public ::testing::TestWithParam<BTreeParam> {};
 TEST_P(BTreeRandomized, MatchesReferenceModel) {
   const BTreeParam param = GetParam();
   BPlusTree<uint64_t, uint64_t, 8> t;
-  std::map<uint64_t, uint64_t> ref;
-  Rng rng(param.seed);
 
-  for (int64_t i = 0; i < param.ops; ++i) {
-    const uint64_t k = rng.Uniform(param.key_space);
-    switch (rng.Uniform(4)) {
-      case 0:
-      case 1: {  // insert
-        const bool inserted = t.Insert(k, k + 1);
-        EXPECT_EQ(inserted, ref.emplace(k, k + 1).second);
-        break;
-      }
-      case 2: {  // erase
-        EXPECT_EQ(t.Erase(k), ref.erase(k) > 0);
-        break;
-      }
-      case 3: {  // find
-        auto* v = t.Find(k);
-        auto it = ref.find(k);
-        if (it == ref.end()) {
-          EXPECT_EQ(v, nullptr);
-        } else {
-          ASSERT_NE(v, nullptr);
-          EXPECT_EQ(*v, it->second);
+  // The stream runs twice: on a fresh tree, then on the same tree after
+  // Clear(), whose nodes the pools hand back out.
+  const auto run_stream = [&] {
+    std::map<uint64_t, uint64_t> ref;
+    Rng rng(param.seed);
+    for (int64_t i = 0; i < param.ops; ++i) {
+      const uint64_t k = rng.Uniform(param.key_space);
+      switch (rng.Uniform(4)) {
+        case 0:
+        case 1: {  // insert
+          const bool inserted = t.Insert(k, k + 1);
+          EXPECT_EQ(inserted, ref.emplace(k, k + 1).second);
+          break;
         }
-        break;
+        case 2: {  // erase
+          EXPECT_EQ(t.Erase(k), ref.erase(k) > 0);
+          break;
+        }
+        case 3: {  // find
+          auto* v = t.Find(k);
+          auto it = ref.find(k);
+          if (it == ref.end()) {
+            EXPECT_EQ(v, nullptr);
+          } else {
+            ASSERT_NE(v, nullptr);
+            EXPECT_EQ(*v, it->second);
+          }
+          break;
+        }
+      }
+      if (i % 64 == 0) {
+        ASSERT_TRUE(t.Validate()) << "op " << i;
       }
     }
-    if (i % 64 == 0) {
-      ASSERT_TRUE(t.Validate()) << "op " << i;
-    }
-  }
-  ASSERT_TRUE(t.Validate());
-  EXPECT_EQ(t.size(), ref.size());
+    ASSERT_TRUE(t.Validate());
+    EXPECT_EQ(t.size(), ref.size());
 
-  // Full scan must match the reference exactly.
-  auto it = t.Begin();
-  for (const auto& [k, v] : ref) {
-    ASSERT_TRUE(it.Valid());
-    EXPECT_EQ(it.key(), k);
-    EXPECT_EQ(it.value(), v);
-    it.Next();
-  }
-  EXPECT_FALSE(it.Valid());
+    // Full scan must match the reference exactly.
+    auto it = t.Begin();
+    for (const auto& [k, v] : ref) {
+      ASSERT_TRUE(it.Valid());
+      EXPECT_EQ(it.key(), k);
+      EXPECT_EQ(it.value(), v);
+      it.Next();
+    }
+    EXPECT_FALSE(it.Valid());
+  };
+
+  run_stream();
+  const size_t reserved = t.reserved_bytes();
+  t.Clear();
+  EXPECT_TRUE(t.empty());
+  EXPECT_FALSE(t.Begin().Valid());
+  ASSERT_TRUE(t.Validate());
+  run_stream();
+  // The identical stream peaks at the same node count: no new chunk.
+  EXPECT_EQ(t.reserved_bytes(), reserved);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BTreeRandomized,
@@ -162,6 +217,27 @@ TEST(BPlusTree, SequentialInsertThenDeleteAll) {
   for (uint64_t k = 0; k < 3000; ++k) ASSERT_TRUE(t.Erase(k)) << k;
   EXPECT_EQ(t.size(), 0u);
   ASSERT_TRUE(t.Validate());
+}
+
+// NEW_ORDER-style churn (insert at the high end, erase at the low end) reuses
+// recycled nodes: after warm-up the pools stop growing.
+TEST(BPlusTree, InsertEraseChurnKeepsPoolMemoryFlat) {
+  BPlusTree<uint64_t, uint64_t> t;
+  constexpr uint64_t kWindow = 3000;
+  uint64_t next = 0;
+  for (; next < kWindow; ++next) ASSERT_TRUE(t.Insert(next, next));
+  const auto churn = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next) {
+      ASSERT_TRUE(t.Insert(next, next));
+      ASSERT_TRUE(t.Erase(next - kWindow));
+    }
+  };
+  churn(3 * kWindow);  // warm-up
+  const size_t warm = t.reserved_bytes();
+  churn(30 * kWindow);
+  EXPECT_EQ(t.reserved_bytes(), warm);
+  EXPECT_EQ(t.size(), kWindow);
+  EXPECT_TRUE(t.Validate());
 }
 
 TEST(BPlusTree, ReverseDeleteAll) {
@@ -197,6 +273,31 @@ TEST(AvlTree, LowerBoundSemantics) {
   ASSERT_TRUE(t.LowerBound(40, &key, &val));
   EXPECT_EQ(key, 40u);
   EXPECT_FALSE(t.LowerBound(101, &key, &val));
+}
+
+// The NEW_ORDER pattern itself: insert-high, erase-min.
+TEST(AvlTree, NewOrderChurnKeepsPoolMemoryFlat) {
+  AvlTree<uint64_t, bool> t;
+  uint64_t next = 0;
+  for (; next < 1000; ++next) ASSERT_TRUE(t.Insert(next, true));
+  const auto churn = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(t.Insert(next++, true));
+      uint64_t min_key = 0;
+      ASSERT_TRUE(t.LowerBound(0, &min_key, nullptr));
+      ASSERT_TRUE(t.Erase(min_key));
+    }
+  };
+  churn(10000);  // warm-up
+  const size_t warm = t.reserved_bytes();
+  churn(100000);
+  EXPECT_EQ(t.reserved_bytes(), warm);
+  EXPECT_EQ(t.size(), 1000u);
+  EXPECT_TRUE(t.Validate());
+  t.Clear();
+  for (uint64_t k = 0; k < 1000; ++k) ASSERT_TRUE(t.Insert(k, true));
+  EXPECT_EQ(t.reserved_bytes(), warm);  // Clear() handed the nodes back
+  EXPECT_TRUE(t.Validate());
 }
 
 class AvlRandomized : public ::testing::TestWithParam<uint64_t> {};

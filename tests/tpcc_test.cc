@@ -1,7 +1,10 @@
 // TPC-C engine unit tests: loader invariants, each stored procedure's
-// effects, undo rollback, the invalid-item abort path, remote fragments, and
-// the consistency checker itself.
+// effects, undo rollback and redo reinstall, the invalid-item abort path,
+// remote fragments, argument validation at routing, and the consistency
+// checker itself.
 #include <memory>
+#include <set>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "tpcc/tpcc_consistency.h"
@@ -31,6 +34,52 @@ NewOrderArgs MakeOrderArgs(int32_t w, int32_t d, int32_t c, std::vector<int32_t>
   a.entry_d = 7;
   for (int32_t i : items) a.lines.push_back({i, w, 3});
   return a;
+}
+
+/// The checkpoint image of `db`.
+std::string Image(const TpccDb& db) {
+  std::string out;
+  WireWriter w(&out);
+  db.SerializeTo(w);
+  return out;
+}
+
+/// The image without its leading u64 history-id allocator, which rollback
+/// deliberately leaves advanced: ids stay unique under OCC's selective
+/// rollback.
+std::string RowsImage(const TpccDb& db) { return Image(db).substr(sizeof(uint64_t)); }
+
+/// Executes `args` with undo and redo capture, then checks byte for byte
+/// (every column, entry_d and the exact delivery_d included, which StateHash
+/// skips) that Lift and Rollback restore the prior state and Reinstall the
+/// executed one — the multiversion scheme's use of the buffer.
+void ExpectUndoRedoExact(TpccEngine& e, const Payload& args) {
+  const std::string before = RowsImage(e.db());
+  UndoBuffer undo;
+  undo.EnableRedo();
+  WorkMeter m;
+  ASSERT_FALSE(e.Execute(args, 0, nullptr, &undo, &m).aborted);
+  EXPECT_EQ(m.undo_records, undo.size());
+  const std::string after = Image(e.db());
+  ASSERT_NE(RowsImage(e.db()), before);
+
+  undo.Lift();
+  EXPECT_EQ(RowsImage(e.db()), before);
+  undo.Reinstall();
+  EXPECT_EQ(Image(e.db()), after);
+  undo.Lift();
+  undo.Reinstall();
+  EXPECT_EQ(Image(e.db()), after);
+  undo.Rollback();
+  EXPECT_EQ(RowsImage(e.db()), before);
+}
+
+/// First customer of (w, d) whose credit is `credit`.
+int32_t CustomerWithCredit(const TpccDb& db, int32_t w, int32_t d, const char* credit) {
+  for (int32_t c = 1; c <= db.scale().customers_per_district; ++c) {
+    if (db.customers.Find(CustomerKey(w, d, c))->credit == Str2(credit)) return c;
+  }
+  return 0;
 }
 
 TEST(TpccLoader, DeterministicAndPartitioned) {
@@ -134,6 +183,45 @@ TEST(TpccNewOrder, UndoRestoresState) {
   EXPECT_GT(undo.size(), 0u);
   undo.Rollback();
   EXPECT_EQ(e.StateHash(), before);
+}
+
+TEST(TpccUndoRedo, NewOrderRestoresAndReinstallsExactly) {
+  TpccEngine e(TinyScale(1, 1), 0, 1);
+  // Item 2 twice: two writes to one stock row compose column by column.
+  ExpectUndoRedoExact(e, MakeOrderArgs(1, 3, 5, {1, 2, 2, 9}));
+}
+
+TEST(TpccUndoRedo, PaymentGoodAndBadCreditRestoreAndReinstallExactly) {
+  TpccEngine e(TinyScale(1, 1), 0, 1);
+  for (const char* credit : {"GC", "BC"}) {
+    const int32_t c_id = CustomerWithCredit(e.db(), 1, 2, credit);
+    ASSERT_NE(c_id, 0) << credit;
+    const Str32 data = e.db().customers.Find(CustomerKey(1, 2, c_id))->data;
+    PaymentArgs a;
+    a.w_id = 1;
+    a.d_id = 4;
+    a.c_w_id = 1;
+    a.c_d_id = 2;
+    a.c_id = c_id;
+    a.amount = 42.25;
+    a.date = 17;
+    ExpectUndoRedoExact(e, a);
+    UndoBuffer undo;
+    WorkMeter m;
+    e.Execute(a, 0, nullptr, &undo, &m);
+    // Only the bad-credit customer's C_DATA changes.
+    EXPECT_EQ(e.db().customers.Find(CustomerKey(1, 2, c_id))->data == data,
+              std::string(credit) == "GC");
+  }
+}
+
+TEST(TpccUndoRedo, DeliveryRestoresAndReinstallsExactly) {
+  TpccEngine e(TinyScale(1, 1), 0, 1);
+  DeliveryArgs a;
+  a.w_id = 1;
+  a.carrier_id = 4;
+  a.date = 123456789;
+  ExpectUndoRedoExact(e, a);
 }
 
 TEST(TpccNewOrder, RemoteFragmentUpdatesOnlyStock) {
@@ -319,6 +407,43 @@ TEST(TpccReadOnly, OrderStatusAndStockLevel) {
   EXPECT_EQ(e.StateHash(), before);  // both are read-only
 }
 
+// StockLevel counts distinct items across the last 20 orders, however many
+// lines those orders have (embedded callers are not held to 15).
+TEST(TpccReadOnly, StockLevelMatchesReferenceForLongOrders) {
+  TpccEngine e(TinyScale(1, 1), 0, 3);
+  TpccDb& db = e.db();
+  Rng rng(5);
+  for (int o = 0; o < 25; ++o) {
+    std::vector<int32_t> items;
+    for (int l = 0; l < 40; ++l) items.push_back(static_cast<int32_t>(rng.UniformRange(1, 60)));
+    ASSERT_FALSE(
+        e.Execute(MakeOrderArgs(1, 6, 1 + o, items), 0, nullptr, nullptr, nullptr).aborted);
+  }
+  for (int32_t threshold : {10, 15, 20, 60}) {
+    const int32_t next = db.districts.Find(DistrictKey(1, 6))->next_o_id;
+    std::set<int32_t> seen;
+    int expected_low = 0;
+    for (int32_t o = std::max(1, next - 20); o < next; ++o) {
+      const OrderRow* row = db.orders.Find(OrderKey(1, 6, o));
+      for (int32_t ol = 1; ol <= row->ol_cnt; ++ol) {
+        const int32_t i_id = db.order_lines.Find(OrderLineKey(1, 6, o, ol))->i_id;
+        if (seen.insert(i_id).second && db.stock.Find(StockKey(1, i_id))->quantity < threshold) {
+          ++expected_low;
+        }
+      }
+    }
+    StockLevelArgs sl;
+    sl.w_id = 1;
+    sl.d_id = 6;
+    sl.threshold = threshold;
+    WorkMeter m;
+    ExecResult r = e.Execute(sl, 0, nullptr, nullptr, &m);
+    EXPECT_EQ(PayloadCast<TpccResult>(*r.result).id, expected_low) << threshold;
+    // One read for the district, one per order line, one per distinct item.
+    EXPECT_EQ(m.reads, 1u + 20u * 40u + seen.size());
+  }
+}
+
 TEST(TpccLockSet, RolesAndGranularity) {
   const TpccScale scale = TinyScale(2, 2);
   TpccEngine home(scale, 0, 1), remote(scale, 1, 1);
@@ -370,6 +495,83 @@ TEST(TpccWorkloadGen, ParticipantsAndMix) {
   const double measured = static_cast<double>(mp) / total;
   const double predicted = cfg.MultiPartitionProbability();
   EXPECT_NEAR(measured, predicted, 0.05);
+}
+
+TEST(TpccLoader, LastNameNumberInvertsLastName) {
+  for (int n = 0; n < 1000; ++n) ASSERT_EQ(LastNameNumber(LastName(n)), n);
+  EXPECT_EQ(LastNameNumber(Str16("")), -1);
+  EXPECT_EQ(LastNameNumber(Str16("BARBAR")), -1);
+  EXPECT_EQ(LastNameNumber(Str16("BARBARBARBAR")), -1);
+  EXPECT_EQ(LastNameNumber(Str16("ZZCOMMON")), -1);
+}
+
+// Arguments outside the loaded scale get an empty route (the server drops
+// such a request) instead of reaching the engine's CHECKs.
+TEST(TpccWorkloadGen, RouteRefusesArgsOutsideTheScale) {
+  const TpccScale scale = TinyScale(4, 2);  // 30 customers per district
+  PaymentArgs pay;
+  pay.w_id = 1;
+  pay.d_id = 1;
+  pay.c_w_id = 3;
+  pay.c_d_id = 2;
+  pay.c_id = 7;
+  pay.amount = 10;
+  ASSERT_EQ(RouteTpcc(scale, pay).participants.size(), 2u);
+  const auto refused = [&](auto args, auto&& edit) {
+    edit(args);
+    return RouteTpcc(scale, args).participants.empty();
+  };
+  EXPECT_TRUE(refused(pay, [](PaymentArgs& a) { a.c_id = 31; }));
+  EXPECT_TRUE(refused(pay, [](PaymentArgs& a) { a.c_id = -1; }));
+  EXPECT_TRUE(refused(pay, [](PaymentArgs& a) { a.d_id = 11; }));
+  EXPECT_TRUE(refused(pay, [](PaymentArgs& a) { a.c_d_id = 0; }));
+  EXPECT_TRUE(refused(pay, [](PaymentArgs& a) { a.w_id = 5; }));
+  EXPECT_TRUE(refused(pay, [](PaymentArgs& a) { a.c_w_id = 0; }));
+  EXPECT_TRUE(refused(pay, [](PaymentArgs& a) {
+    a.c_id = 0;
+    a.c_last = Str16("NOSUCHNAME");
+  }));
+  // Customers 1..30 carry LastName(0..29): 29 is the last name in use.
+  EXPECT_FALSE(refused(pay, [](PaymentArgs& a) {
+    a.c_id = 0;
+    a.c_last = LastName(29);
+  }));
+  EXPECT_TRUE(refused(pay, [](PaymentArgs& a) {
+    a.c_id = 0;
+    a.c_last = LastName(30);
+  }));
+
+  NewOrderArgs no = MakeOrderArgs(1, 1, 1, {5, 6});
+  ASSERT_EQ(RouteTpcc(scale, no).participants.size(), 1u);
+  EXPECT_TRUE(refused(no, [](NewOrderArgs& a) { a.c_id = 99999; }));
+  EXPECT_TRUE(refused(no, [](NewOrderArgs& a) { a.lines[1].supply_w_id = 0; }));
+  EXPECT_TRUE(refused(no, [](NewOrderArgs& a) { a.lines[0].quantity = 11; }));
+  EXPECT_TRUE(refused(no, [](NewOrderArgs& a) { a.lines.clear(); }));
+  EXPECT_TRUE(refused(no, [](NewOrderArgs& a) { a.lines.resize(16, a.lines[0]); }));
+  // An unknown item stays the spec's user abort, decided by the engine.
+  EXPECT_FALSE(refused(no, [&](NewOrderArgs& a) { a.lines[0].i_id = scale.items + 1; }));
+
+  OrderStatusArgs os;
+  os.w_id = 2;
+  os.d_id = 3;
+  os.c_id = 4;
+  ASSERT_FALSE(RouteTpcc(scale, os).participants.empty());
+  EXPECT_TRUE(refused(os, [](OrderStatusArgs& a) { a.c_id = 31; }));
+  EXPECT_TRUE(refused(os, [](OrderStatusArgs& a) { a.d_id = 0; }));
+
+  DeliveryArgs d;
+  d.w_id = 4;
+  d.carrier_id = 10;
+  ASSERT_FALSE(RouteTpcc(scale, d).participants.empty());
+  EXPECT_TRUE(refused(d, [](DeliveryArgs& a) { a.carrier_id = 0; }));
+
+  StockLevelArgs sl;
+  sl.w_id = 4;
+  sl.d_id = 10;
+  sl.threshold = 20;
+  ASSERT_FALSE(RouteTpcc(scale, sl).participants.empty());
+  EXPECT_TRUE(refused(sl, [](StockLevelArgs& a) { a.threshold = 21; }));
+  EXPECT_TRUE(refused(sl, [](StockLevelArgs& a) { a.w_id = 0; }));
 }
 
 TEST(TpccWorkloadGen, DefaultRemoteProbabilityMatchesPaper) {
