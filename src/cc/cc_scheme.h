@@ -8,7 +8,6 @@
 #define PARTDB_CC_CC_SCHEME_H_
 
 #include <memory>
-#include <span>
 
 #include "engine/cost_model.h"
 #include "engine/engine.h"
@@ -42,25 +41,26 @@ class PartitionExec {
   /// Sends a message at the current virtual instant.
   virtual void Send(NodeId dst, MessageBody body) = 0;
 
-  /// Sends a message once `ship` has been acknowledged by all backups
-  /// (immediately when replication is off). Used for 2PC votes and client
-  /// responses that must be durable first (paper §3.2/§3.3).
-  virtual void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) = 0;
-
-  /// Tells backups the outcome of a previously shipped transaction.
-  virtual void ShipDecision(TxnId txn, bool commit) = 0;
-
   /// Delivers a TimerFire to this partition after `d` ns.
   virtual void SetTimer(Duration d, TimerFire t) = 0;
 
-  /// Records a committed transaction: in the test-only commit log (for
-  /// serializability checking, no cost) and in the partition's command log
-  /// when durability is on. `proc` is the registry id of the stored
-  /// procedure, stamped into the durable record so recovery can re-resolve
-  /// it by name. A single-partition commit passes its one round input as
-  /// `{&f.round_input, 1}`, so the call builds no container.
-  virtual void LogCommit(TxnId id, bool multi_partition, ProcId proc,
-                         const PayloadPtr& args, std::span<const PayloadPtr> round_inputs) = 0;
+  // The three protocol steps that make a transaction durable. Each records
+  // the transaction's CommitRecord in whichever destinations are on: the
+  // test-only verifier log (no cost), the partition's command log, and the
+  // backups (paper §2.2/§3.2: durable once all k replicas have it).
+
+  /// Single-partition commit of `f`: records {f.txn_id, f.proc, f.args,
+  /// f.round_input} everywhere, then sends `reply` to f.coordinator once the
+  /// backups have acked it (at once when replication is off).
+  virtual void CommitSp(const FragmentRequest& f, ClientResponse reply) = 0;
+
+  /// Multi-partition prepare: ships `rec` to the backups with its outcome
+  /// unknown, then sends the 2PC `vote` to `coord` once they have acked it.
+  virtual void PrepareMp(const CommitRecord& rec, NodeId coord, FragmentResponse vote) = 0;
+
+  /// Multi-partition decision: a commit records `rec` in the verifier log
+  /// and the command log; either outcome is shipped to the backups.
+  virtual void DecideMp(const CommitRecord& rec, bool commit) = 0;
 
   virtual Engine& engine() = 0;
   virtual const CostModel& cost() const = 0;

@@ -61,12 +61,9 @@ class MvccCc : public CcScheme {
 
  private:
   struct PendingMp {
-    TxnId id = kInvalidTxn;
+    CommitRecord rec;  // rounds executed so far
     NodeId coord = kInvalidNode;
     uint64_t begin_ts = 0;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
-    std::vector<PayloadPtr> round_inputs;
     /// Pending version chain: undo (before-image) + redo (after-image) per
     /// written record, in write order.
     UndoBuffer versions;

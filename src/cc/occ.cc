@@ -6,6 +6,17 @@
 
 namespace partdb {
 
+OccCc::TxnPtr OccCc::NewTxn(const FragmentRequest& f) {
+  auto t = std::make_unique<Txn>();
+  t->rec.txn_id = f.txn_id;
+  t->rec.multi_partition = f.multi_partition;
+  t->rec.proc = f.proc;
+  t->rec.args = f.args;
+  t->can_abort = f.can_abort;
+  t->coord = f.coordinator;
+  return t;
+}
+
 void OccCc::TrackAccess(Txn* t, const FragmentRequest& f) {
   // The declared lock set is exactly the access set; tracking it is the
   // read/write-set bookkeeping the paper says OCC cannot avoid (§5.7).
@@ -26,7 +37,7 @@ void OccCc::TrackAccess(Txn* t, const FragmentRequest& f) {
 
 void OccCc::OnFragment(FragmentRequest frag) {
   if (!uncommitted_.empty() && frag.multi_partition &&
-      frag.txn_id == uncommitted_.back()->id && !uncommitted_.back()->finished) {
+      frag.txn_id == uncommitted_.back()->rec.txn_id && !uncommitted_.back()->finished) {
     ContinueTail(frag);
     DrainQueue();
     return;
@@ -61,37 +72,18 @@ void OccCc::ExecuteFresh(FragmentRequest& f) {
       part_->Send(f.coordinator, resp);
       return;
     }
-    part_->LogCommit(f.txn_id, false, f.proc, f.args, {&f.round_input, 1});
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = true;
-    ship.args = f.args;
-    ship.round_inputs = {f.round_input};
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->CommitSp(f, std::move(resp));
     return;
   }
-  auto t = std::make_unique<Txn>();
-  t->id = f.txn_id;
-  t->mp = true;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
+  TxnPtr t = NewTxn(f);
   TrackAccess(t.get(), f);
   RunMpFragment(*t, f, kInvalidTxn);
   uncommitted_.push_back(std::move(t));
 }
 
 void OccCc::SpeculateSp(FragmentRequest& f) {
-  auto t = std::make_unique<Txn>();
-  t->id = f.txn_id;
-  t->mp = false;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
+  TxnPtr t = NewTxn(f);
   t->frags.push_back(f);
-  t->round_inputs.push_back(f.round_input);
   TrackAccess(t.get(), f);
   ExecResult r = part_->RunFragment(f, &t->undo);
   if (part_->metrics().recording) part_->metrics().speculative_execs++;
@@ -107,18 +99,12 @@ void OccCc::SpeculateSp(FragmentRequest& f) {
     t->undo.Rollback();
     t->undo_applied = true;
   }
-  t->held.emplace_back(f.coordinator, resp);
+  t->held = std::move(resp);
   uncommitted_.push_back(std::move(t));
 }
 
 void OccCc::SpeculateMp(FragmentRequest& f) {
-  auto t = std::make_unique<Txn>();
-  t->id = f.txn_id;
-  t->mp = true;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
+  TxnPtr t = NewTxn(f);
   const TxnId dep = LastMpId();
   PARTDB_CHECK(dep != kInvalidTxn);
   TrackAccess(t.get(), f);
@@ -136,7 +122,7 @@ void OccCc::ContinueTail(FragmentRequest& f) {
 
 void OccCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   t.frags.push_back(f);
-  t.round_inputs.push_back(f.round_input);
+  t.rec.round_inputs.push_back(f.round_input);
   ExecResult r = part_->RunFragment(f, &t.undo);
   if (r.aborted) t.aborted_locally = true;
   t.finished = f.last_round;
@@ -155,24 +141,15 @@ void OccCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   t.has_response = true;
   if (f.last_round && !r.aborted) {
     part_->Charge(part_->cost().twopc_vote);
-    part_->SendDurable(t.coord, resp, ShipFor(t));
+    part_->PrepareMp(t.rec, t.coord, resp);
     return;
   }
   part_->Send(t.coord, resp);
 }
 
-ReplicaShip OccCc::ShipFor(const Txn& t) const {
-  ReplicaShip ship;
-  ship.txn_id = t.id;
-  ship.outcome_known = !t.mp;
-  ship.args = t.args;
-  ship.round_inputs = t.round_inputs;
-  return ship;
-}
-
 TxnId OccCc::LastMpId() const {
   for (auto it = uncommitted_.rbegin(); it != uncommitted_.rend(); ++it) {
-    if ((*it)->mp) return (*it)->id;
+    if ((*it)->rec.multi_partition) return (*it)->rec.txn_id;
   }
   return kInvalidTxn;
 }
@@ -180,14 +157,13 @@ TxnId OccCc::LastMpId() const {
 void OccCc::OnDecision(const DecisionMessage& d) {
   PARTDB_CHECK(!uncommitted_.empty());
   Txn* head = uncommitted_.front().get();
-  PARTDB_CHECK(head->id == d.txn_id);
-  PARTDB_CHECK(head->mp);
+  PARTDB_CHECK(head->rec.txn_id == d.txn_id);
+  PARTDB_CHECK(head->rec.multi_partition);
 
   if (d.commit) {
     PARTDB_CHECK(head->finished && !head->aborted_locally);
     head->undo.Clear();
-    part_->LogCommit(head->id, true, head->proc, head->args, head->round_inputs);
-    part_->ShipDecision(head->id, true);
+    part_->DecideMp(head->rec, true);
     uncommitted_.pop_front();
     ReleaseCommittedSp();
     DrainQueue();
@@ -224,9 +200,9 @@ void OccCc::OnDecision(const DecisionMessage& d) {
     // every later MP transaction re-executes as well; only single-partition
     // transactions — which have no cross-partition ordering constraints —
     // enjoy fully selective validation.
-    if (t->mp && mp_poisoned) conflict = true;
+    if (t->rec.multi_partition && mp_poisoned) conflict = true;
     if (conflict) {
-      if (t->mp) mp_poisoned = true;
+      if (t->rec.multi_partition) mp_poisoned = true;
       for (uint64_t k : t->writes) poisoned.insert(k);
       invalid.push_back(std::move(t));
     } else {
@@ -250,7 +226,7 @@ void OccCc::OnDecision(const DecisionMessage& d) {
     part_->ChargeUndo(h->undo.size());
     h->undo.Rollback();
   }
-  part_->ShipDecision(h->id, false);
+  part_->DecideMp(h->rec, false);
 
   // Requeue invalidated transactions for re-execution, preserving order.
   for (auto it = invalid.rbegin(); it != invalid.rend(); ++it) {
@@ -269,14 +245,14 @@ void OccCc::OnDecision(const DecisionMessage& d) {
   // aborted head); resend them revalidated so the coordinator can proceed.
   TxnId prev_mp = kInvalidTxn;
   for (TxnPtr& t : uncommitted_) {
-    if (t->mp && t->has_response) {
+    if (t->rec.multi_partition && t->has_response) {
       FragmentResponse resp = t->last_response;
       resp.epoch = epoch_;
       resp.depends_on = prev_mp;
       t->last_response = resp;
       part_->Send(t->coord, resp);
     }
-    if (t->mp) prev_mp = t->id;
+    if (t->rec.multi_partition) prev_mp = t->rec.txn_id;
   }
 
   // A surviving single-partition prefix has no uncommitted predecessors left.
@@ -285,17 +261,14 @@ void OccCc::OnDecision(const DecisionMessage& d) {
 }
 
 void OccCc::ReleaseCommittedSp() {
-  while (!uncommitted_.empty() && !uncommitted_.front()->mp) {
+  while (!uncommitted_.empty() && !uncommitted_.front()->rec.multi_partition) {
     Txn* t = uncommitted_.front().get();
     PARTDB_CHECK(t->finished);
     if (t->aborted_locally) {
-      for (auto& [dst, body] : t->held) part_->Send(dst, std::move(body));
+      part_->Send(t->coord, std::move(t->held));
     } else {
       t->undo.Clear();
-      part_->LogCommit(t->id, false, t->proc, t->args, t->round_inputs);
-      for (auto& [dst, body] : t->held) {
-        part_->SendDurable(dst, std::move(body), ShipFor(*t));
-      }
+      part_->CommitSp(t->frags[0], std::move(t->held));
     }
     uncommitted_.pop_front();
   }
@@ -311,7 +284,7 @@ void OccCc::DrainQueue() {
     }
     Txn* tail = uncommitted_.back().get();
     FragmentRequest& peek = unexecuted_.front();
-    if (peek.multi_partition && peek.txn_id == tail->id && !tail->finished) {
+    if (peek.multi_partition && peek.txn_id == tail->rec.txn_id && !tail->finished) {
       FragmentRequest f = std::move(unexecuted_.front());
       unexecuted_.pop_front();
       ContinueTail(f);

@@ -15,7 +15,7 @@
 
 #include "common/logging.h"
 #include "durability/log_format.h"
-#include "engine/work_meter.h"
+#include "engine/replay.h"
 
 namespace partdb {
 
@@ -24,13 +24,13 @@ namespace {
 namespace fs = std::filesystem;
 
 /// One log record staged for replay, with its proc id remapped into the live
-/// registry. Args/round inputs decode lazily on the replay workers; only
+/// registry. Records decode lazily on the replay workers; only
 /// multi-partition records decode up front (the completeness rule needs
 /// their routing before replay starts).
 struct StagedRecord {
   LogRecord rec;
   ProcId live_proc = kInvalidProc;
-  PayloadPtr args;  // decoded early for MP records
+  CommitRecord decoded;  // args == nullptr until DecodeRecord ran
   bool skip = false;
 };
 
@@ -66,6 +66,42 @@ PayloadPtr DecodeStrict(const PayloadDecoder& decode, const std::string& bytes) 
   PayloadPtr p = decode(r);
   if (p == nullptr || !r.AtEnd()) return nullptr;
   return p;
+}
+
+/// Turns a staged log record back into the CommitRecord it was written
+/// from. Returns an error string, empty on success.
+std::string DecodeRecord(const ProcedureRegistry& registry, PartitionId p, StagedRecord* s) {
+  const ProcedureDescriptor& d = registry.Get(s->live_proc);
+  if (d.decode_args == nullptr) {
+    return PartitionError(p, "procedure '" + d.name + "' has no args codec");
+  }
+  CommitRecord& out = s->decoded;
+  out.txn_id = s->rec.txn_id;
+  out.multi_partition = s->rec.multi_partition;
+  out.proc = s->live_proc;
+  out.args = DecodeStrict(d.decode_args, s->rec.args);
+  if (out.args == nullptr) {
+    return PartitionError(p, "undecodable args in record seq " +
+                                 std::to_string(s->rec.commit_seq));
+  }
+  out.round_inputs.clear();
+  for (size_t i = 0; i < s->rec.round_inputs.size(); ++i) {
+    if (!s->rec.round_input_present[i]) {
+      out.round_inputs.push_back(nullptr);
+      continue;
+    }
+    if (d.decode_round_input == nullptr) {
+      return PartitionError(
+          p, "procedure '" + d.name + "' logged a round input but has no codec for it");
+    }
+    PayloadPtr in = DecodeStrict(d.decode_round_input, s->rec.round_inputs[i]);
+    if (in == nullptr) {
+      return PartitionError(p, "undecodable round input in record seq " +
+                                   std::to_string(s->rec.commit_seq));
+    }
+    out.round_inputs.push_back(std::move(in));
+  }
+  return "";
 }
 
 /// Loads one partition's checkpoint + segments into `out`. Returns an error
@@ -233,23 +269,14 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
     return report;
   }
 
-  // Multi-partition completeness: decode MP args (routing needs them), then
-  // keep T only when every participant has T durably.
+  // Multi-partition completeness: decode MP records (routing needs their
+  // args), then keep T only when every participant has T durably.
   for (PartitionId p = 0; p < options.num_partitions; ++p) {
     for (StagedRecord& s : staged[static_cast<size_t>(p)].records) {
       if (!s.rec.multi_partition) continue;
-      const ProcedureDescriptor& d = options.registry->Get(s.live_proc);
-      if (d.decode_args == nullptr) {
-        report.error = PartitionError(p, "procedure '" + d.name + "' has no args codec");
-        return report;
-      }
-      s.args = DecodeStrict(d.decode_args, s.rec.args);
-      if (s.args == nullptr) {
-        report.error = PartitionError(p, "undecodable args in record seq " +
-                                             std::to_string(s.rec.commit_seq));
-        return report;
-      }
-      const TxnRouting route = d.route(*s.args);
+      report.error = DecodeRecord(*options.registry, p, &s);
+      if (!report.error.empty()) return report;
+      const TxnRouting route = options.registry->Get(s.live_proc).route(*s.decoded.args);
       for (PartitionId q : route.participants) {
         if (q < 0 || q >= options.num_partitions) {
           report.error = PartitionError(p, "record routes to invalid partition");
@@ -292,47 +319,11 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
         ++skipped[static_cast<size_t>(p)];
         continue;
       }
-      const ProcedureDescriptor& d = options.registry->Get(s.live_proc);
-      if (s.args == nullptr) {
-        if (d.decode_args == nullptr) {
-          errors[static_cast<size_t>(p)] =
-              PartitionError(p, "procedure '" + d.name + "' has no args codec");
-          return;
-        }
-        s.args = DecodeStrict(d.decode_args, s.rec.args);
-        if (s.args == nullptr) {
-          errors[static_cast<size_t>(p)] = PartitionError(
-              p, "undecodable args in record seq " + std::to_string(s.rec.commit_seq));
-          return;
-        }
+      if (s.decoded.args == nullptr) {
+        errors[static_cast<size_t>(p)] = DecodeRecord(*options.registry, p, &s);
+        if (!errors[static_cast<size_t>(p)].empty()) return;
       }
-      std::vector<PayloadPtr> inputs;
-      for (size_t i = 0; i < s.rec.round_inputs.size(); ++i) {
-        if (!s.rec.round_input_present[i]) {
-          inputs.push_back(nullptr);
-          continue;
-        }
-        if (d.decode_round_input == nullptr) {
-          errors[static_cast<size_t>(p)] = PartitionError(
-              p, "procedure '" + d.name + "' logged a round input but has no codec for it");
-          return;
-        }
-        PayloadPtr in = DecodeStrict(d.decode_round_input, s.rec.round_inputs[i]);
-        if (in == nullptr) {
-          errors[static_cast<size_t>(p)] = PartitionError(
-              p, "undecodable round input in record seq " + std::to_string(s.rec.commit_seq));
-          return;
-        }
-        inputs.push_back(std::move(in));
-      }
-      const int rounds = inputs.empty() ? 1 : static_cast<int>(inputs.size());
-      for (int r = 0; r < rounds; ++r) {
-        WorkMeter m;
-        const Payload* input =
-            r < static_cast<int>(inputs.size()) ? inputs[static_cast<size_t>(r)].get() : nullptr;
-        ExecResult res = engine.Execute(*s.args, r, input, nullptr, &m);
-        if (res.aborted) ++aborted[static_cast<size_t>(p)];
-      }
+      aborted[static_cast<size_t>(p)] += ReplayCommit(engine, s.decoded);
       ++replayed[static_cast<size_t>(p)];
     }
   };

@@ -46,10 +46,11 @@ struct RecoveryReport {
   uint64_t segments_read = 0;
   uint64_t torn_tails = 0;
   double seconds = 0;
-  /// Every distinct transaction whose effects are in the recovered state
-  /// (replayed or restored via a checkpoint's MP list is not included —
-  /// only ids actually seen in logs/checkpoint lists; used by the
-  /// acked-subset crash tests).
+  /// Distinct ids of transactions whose effects are in the recovered state:
+  /// every record replayed from the logs plus every id on a loaded
+  /// checkpoint's cumulative MP list. Single-partition transactions folded
+  /// into a checkpoint image are not included (the image keeps no ids for
+  /// them). Used by the acked-subset crash tests.
   std::vector<TxnId> recovered_txns;
   /// Where each partition's new log incarnation resumes.
   std::vector<DurabilityManager::PartitionSeed> seeds;

@@ -75,39 +75,57 @@ void PartitionActor::Send(NodeId dst, MessageBody body) {
   ctx_->Send(dst, std::move(body));
 }
 
-void PartitionActor::SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) {
-  PARTDB_CHECK(ctx_ != nullptr);
-  if (backups_.empty()) {
-    ctx_->Send(dst, std::move(body));
-    return;
-  }
-  const uint64_t seq = next_ship_seq_++;
-  ship.order_seq = seq;
-  for (NodeId b : backups_) ctx_->Send(b, ship);
-  pending_durable_[seq] =
-      PendingDurable{static_cast<int>(backups_.size()), dst, std::move(body)};
-}
-
-void PartitionActor::ShipDecision(TxnId txn, bool commit) {
-  if (backups_.empty()) return;
-  PARTDB_CHECK(ctx_ != nullptr);
-  for (NodeId b : backups_) ctx_->Send(b, ReplicaDecision{txn, commit});
-}
-
 void PartitionActor::SetTimer(Duration d, TimerFire t) {
   PARTDB_CHECK(ctx_ != nullptr);
   ctx_->SetTimer(d, t);
 }
 
-void PartitionActor::LogCommit(TxnId id, bool multi_partition, ProcId proc,
-                               const PayloadPtr& args,
-                               std::span<const PayloadPtr> round_inputs) {
+void PartitionActor::CommitSp(const FragmentRequest& f, ClientResponse reply) {
+  PARTDB_CHECK(ctx_ != nullptr);
+  AppendCommitted(f.txn_id, false, f.proc, f.args, {&f.round_input, 1});
+  if (backups_.empty()) {
+    ctx_->Send(f.coordinator, std::move(reply));
+    return;
+  }
+  ShipThenSend(CommitRecord{f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator,
+               std::move(reply));
+}
+
+void PartitionActor::PrepareMp(const CommitRecord& rec, NodeId coord, FragmentResponse vote) {
+  PARTDB_CHECK(ctx_ != nullptr);
+  if (backups_.empty()) {
+    ctx_->Send(coord, std::move(vote));
+    return;
+  }
+  ShipThenSend(rec, coord, std::move(vote));
+}
+
+void PartitionActor::DecideMp(const CommitRecord& rec, bool commit) {
+  if (commit) {
+    AppendCommitted(rec.txn_id, true, rec.proc, rec.args, rec.round_inputs);
+  }
+  if (backups_.empty()) return;
+  PARTDB_CHECK(ctx_ != nullptr);
+  for (NodeId b : backups_) ctx_->Send(b, ReplicaDecision{rec.txn_id, commit});
+}
+
+void PartitionActor::AppendCommitted(TxnId id, bool multi_partition, ProcId proc,
+                                     const PayloadPtr& args,
+                                     std::span<const PayloadPtr> round_inputs) {
   if (durability_log_ != nullptr) {
     durability_log_->Append(id, multi_partition, proc, args, round_inputs);
   }
   if (!log_commits_) return;
   commit_log_.push_back(CommitRecord{id, multi_partition, proc, args,
                                      {round_inputs.begin(), round_inputs.end()}});
+}
+
+void PartitionActor::ShipThenSend(CommitRecord rec, NodeId dst, MessageBody body) {
+  const uint64_t seq = next_ship_seq_++;
+  const ReplicaShip ship{seq, std::move(rec)};
+  for (NodeId b : backups_) ctx_->Send(b, ship);
+  pending_durable_[seq] =
+      PendingDurable{static_cast<int>(backups_.size()), dst, std::move(body)};
 }
 
 }  // namespace partdb

@@ -17,17 +17,6 @@
 
 namespace partdb {
 
-/// One committed transaction at this partition, in local commit order.
-/// Recorded only when commit logging is enabled (tests): replaying the log
-/// serially on a fresh engine must reproduce the partition state.
-struct CommitRecord {
-  TxnId txn_id = kInvalidTxn;
-  bool multi_partition = false;
-  ProcId proc = kInvalidProc;
-  PayloadPtr args;
-  std::vector<PayloadPtr> round_inputs;  // entry r = input for round r (null for 0)
-};
-
 class PartitionLog;
 
 class PartitionActor : public Actor, public PartitionExec {
@@ -44,6 +33,9 @@ class PartitionActor : public Actor, public PartitionExec {
   /// Must be called once before the simulation starts.
   void InstallScheme(std::unique_ptr<CcScheme> scheme) { scheme_ = std::move(scheme); }
   void SetBackups(std::vector<NodeId> backups) { backups_ = std::move(backups); }
+  /// Keeps every committed transaction, in local commit order, in the
+  /// test-only verifier log: replaying it serially on a fresh engine must
+  /// reproduce the partition state.
   void EnableCommitLog() { log_commits_ = true; }
   /// Routes every committed transaction into the durable command log
   /// (durability tier; `log` must outlive the actor).
@@ -59,8 +51,6 @@ class PartitionActor : public Actor, public PartitionExec {
   void ChargeLockWork(const WorkMeter& m) override;
   void ChargeUndo(size_t records) override;
   void Send(NodeId dst, MessageBody body) override;
-  void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) override;
-  void ShipDecision(TxnId txn, bool commit) override;
   void SetTimer(Duration d, TimerFire t) override;
   Engine& engine() override { return *engine_; }
   const CostModel& cost() const override { return cost_; }
@@ -68,15 +58,21 @@ class PartitionActor : public Actor, public PartitionExec {
   PartitionId partition_id() const override { return pid_; }
   Duration lock_timeout() const override { return lock_timeout_; }
 
-  /// Appends to the durable command log (when installed) and the test-only
-  /// commit log (when enabled; no cost — diagnostic machinery).
-  void LogCommit(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                 std::span<const PayloadPtr> round_inputs) override;
+  void CommitSp(const FragmentRequest& f, ClientResponse reply) override;
+  void PrepareMp(const CommitRecord& rec, NodeId coord, FragmentResponse vote) override;
+  void DecideMp(const CommitRecord& rec, bool commit) override;
 
  protected:
   void OnMessage(Message& msg, ActorContext& ctx) override;
 
  private:
+  /// Appends a committed transaction to the command log (when installed)
+  /// and the verifier log (when enabled).
+  void AppendCommitted(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
+                       std::span<const PayloadPtr> round_inputs);
+  /// Ships `rec` to every backup and holds `body` for `dst` until all ack.
+  void ShipThenSend(CommitRecord rec, NodeId dst, MessageBody body);
+
   struct PendingDurable {
     int acks_remaining = 0;
     NodeId dst = kInvalidNode;

@@ -83,13 +83,24 @@ struct ClientResponse {
   PayloadPtr result;
 };
 
+/// One transaction as it commits at one partition: the stored-procedure
+/// invocation plus each round's coordinator-computed input. This one record
+/// goes to the test-only verifier log, the durable command log and the
+/// backups, and ReplayCommit (engine/replay.h) re-executes it.
+struct CommitRecord {
+  TxnId txn_id = kInvalidTxn;
+  bool multi_partition = false;
+  ProcId proc = kInvalidProc;
+  PayloadPtr args;
+  std::vector<PayloadPtr> round_inputs;  // entry r = input for round r (null for 0)
+};
+
 /// Primary -> backup: ship one transaction for durability (paper 2.2/3.2).
+/// Single-partition records ship committed; multi-partition ones ship at
+/// vote time and wait for a ReplicaDecision.
 struct ReplicaShip {
   uint64_t order_seq = 0;
-  TxnId txn_id = kInvalidTxn;
-  bool outcome_known = true;  // SP txns ship committed; MP ship at vote time
-  PayloadPtr args;
-  std::vector<PayloadPtr> round_inputs;
+  CommitRecord rec;
 };
 
 /// Primary -> backup: outcome for a previously shipped MP transaction.

@@ -5,13 +5,11 @@
 #define PARTDB_TESTS_FAKE_PARTITION_H_
 
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "cc/cc_scheme.h"
 #include "engine/engine.h"
-#include "engine/partition_actor.h"  // CommitRecord
 
 namespace partdb {
 
@@ -27,10 +25,8 @@ class FakePartition : public PartitionExec {
     MessageBody body;
   };
   std::vector<Sent> sent;
-  std::vector<ReplicaShip> ships;
-  std::vector<std::pair<TxnId, bool>> decisions_shipped;
   std::vector<std::pair<Duration, TimerFire>> timers;
-  std::vector<CommitRecord> log;
+  std::vector<CommitRecord> log;  // committed transactions, in commit order
   Duration charged = 0;
 
   // Typed accessors over `sent`.
@@ -62,18 +58,17 @@ class FakePartition : public PartitionExec {
     charged += cost_.per_undo * static_cast<Duration>(records);
   }
   void Send(NodeId dst, MessageBody body) override { sent.push_back({dst, std::move(body)}); }
-  void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) override {
-    ships.push_back(std::move(ship));
-    sent.push_back({dst, std::move(body)});
-  }
-  void ShipDecision(TxnId txn, bool commit) override {
-    decisions_shipped.emplace_back(txn, commit);
-  }
   void SetTimer(Duration d, TimerFire t) override { timers.emplace_back(d, t); }
-  void LogCommit(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                 std::span<const PayloadPtr> round_inputs) override {
-    log.push_back(
-        CommitRecord{id, multi_partition, proc, args, {round_inputs.begin(), round_inputs.end()}});
+  // No backups: replies and votes go out at once.
+  void CommitSp(const FragmentRequest& f, ClientResponse reply) override {
+    log.push_back(CommitRecord{f.txn_id, false, f.proc, f.args, {f.round_input}});
+    sent.push_back({f.coordinator, std::move(reply)});
+  }
+  void PrepareMp(const CommitRecord& /*rec*/, NodeId coord, FragmentResponse vote) override {
+    sent.push_back({coord, std::move(vote)});
+  }
+  void DecideMp(const CommitRecord& rec, bool commit) override {
+    if (commit) log.push_back(rec);
   }
   Engine& engine() override { return *engine_; }
   const CostModel& cost() const override { return cost_; }

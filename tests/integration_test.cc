@@ -4,7 +4,9 @@
 // final-state serializability (serial replay of each partition's commit log
 // reproduces the live state) and cross-partition multi-partition commit
 // orders must agree.
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "kv/kv_procedures.h"
@@ -163,16 +165,54 @@ TEST(Integration, CounterSumMatchesCommits) {
   }
 }
 
-TEST(Integration, ReplicationBackupsConverge) {
+// Backups re-execute what their primary ships (paper §4.3) and must land on
+// the primary's state under every registered scheme: one- and two-round
+// transactions on the simulator, and one threaded run with conflicts.
+struct BackupParam {
+  std::string scheme;
+  RunMode mode;
+  int mp_rounds;
+};
+
+std::string BackupParamName(const BackupParam& p) {
+  return p.scheme + (p.mode == RunMode::kSimulated ? "_sim" : "_parallel") + "_r" +
+         std::to_string(p.mp_rounds);
+}
+
+// Names the param in test listings (gtest would print its bytes otherwise).
+void PrintTo(const BackupParam& p, std::ostream* os) { *os << BackupParamName(p); }
+
+std::vector<BackupParam> BackupParams() {
+  std::vector<BackupParam> out;
+  for (const std::string& scheme : CcSchemeRegistry::Global().Names()) {
+    out.push_back({scheme, RunMode::kSimulated, 1});
+    out.push_back({scheme, RunMode::kSimulated, 2});
+    out.push_back({scheme, RunMode::kParallel, 1});
+  }
+  return out;
+}
+
+class BackupConvergence : public ::testing::TestWithParam<BackupParam> {};
+
+TEST_P(BackupConvergence, ReplicationBackupsConverge) {
+  const BackupParam& param = GetParam();
+  const bool sim = param.mode == RunMode::kSimulated;
   KvWorkloadOptions mb;
   mb.num_partitions = 2;
   mb.num_clients = 8;
   mb.mp_fraction = 0.3;
   mb.abort_prob = 0.05;
-
-  KvRun run = RunKvSim(mb, "speculation", 77, Micros(10000), Micros(80000),
-                       /*log_commits=*/false, /*replication=*/2, /*backups_execute=*/true);
-  EXPECT_GT(run.metrics.completions(), 100u);
+  mb.mp_rounds = param.mp_rounds;
+  if (!sim) {
+    mb.conflict_prob = 0.3;
+    mb.pin_first_clients = true;
+  }
+  DbOptions opts = KvDbOptions(mb, param.scheme, param.mode, sim ? 77 : 91);
+  opts.replication = 2;
+  opts.backups_execute = true;
+  // Parallel windows are wall-clock: only require progress there.
+  KvRun run = RunKvClosedLoop(std::move(opts), mb, Micros(10000), Micros(80000));
+  EXPECT_GT(run.metrics.completions(), sim ? 100u : 0u);
 
   for (PartitionId p = 0; p < 2; ++p) {
     EXPECT_EQ(run.db->cluster().engine(p).StateHash(),
@@ -180,6 +220,11 @@ TEST(Integration, ReplicationBackupsConverge) {
         << "backup of partition " << p << " diverged";
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Schemes, BackupConvergence, ::testing::ValuesIn(BackupParams()),
+                         [](const ::testing::TestParamInfo<BackupParam>& info) {
+                           return BackupParamName(info.param);
+                         });
 
 TEST(Integration, DeterministicAcrossRuns) {
   auto run = [](uint64_t seed) {

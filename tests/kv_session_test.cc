@@ -3,9 +3,9 @@
 // figure metrics are unchanged from the pre-migration Cluster/Workload seed
 // harness across all four concurrency-control schemes and every figure
 // regime (fig 4 mix, fig 5 conflicts, fig 6 aborts, fig 7 general
-// transactions, fig 10 local-only speculation, and the Table 2 calibration
-// probes), plus the explicit closed-loop seed story and the per-procedure
-// outcome metrics.
+// transactions, fig 10 local-only speculation, the Table 2 calibration
+// probes, and the k=2 replication ablation), plus the explicit closed-loop
+// seed story and the per-procedure outcome metrics.
 #include <memory>
 #include <string>
 
@@ -25,6 +25,7 @@ struct KvFigConfig {
   bool local_spec = false;
   bool force_locks = false;
   bool force_undo = false;
+  int replication = 1;  // k replicas: votes and SP results wait for k-1 backup acks
 };
 
 KvWorkloadOptions FigWorkload(const KvFigConfig& c) {
@@ -45,6 +46,7 @@ Metrics RunFig(const KvFigConfig& c, const std::string& scheme, uint64_t seed = 
   DbOptions opts = KvDbOptions(mb, scheme, RunMode::kSimulated, seed);
   opts.local_speculation_only = c.local_spec;
   opts.force_locks = c.force_locks;
+  opts.replication = c.replication;
   auto db = Database::Open(std::move(opts));
   ClosedLoopOptions loop;
   loop.num_clients = mb.num_clients;
@@ -65,7 +67,9 @@ Metrics RunFig(const KvFigConfig& c, const std::string& scheme, uint64_t seed = 
 // extra ingress hop or CPU charge), and routing re-derived by the registered
 // procedure. These goldens were captured from the seed harness at the
 // migration commit; any drift means the session path no longer models the
-// paper's client library the way the figures assume.
+// paper's client library the way the figures assume. The ablation_k2 rows
+// (two replicas: votes and SP results wait for backup acks) were captured
+// later, before the commit record was unified, to pin the backup path.
 
 struct FigGolden {
   const char* name;
@@ -90,6 +94,7 @@ const FigCase kFigCases[] = {
     {"fig10_localspec_mp50", {0.50, 0, 0, 1, false, true, false, false}},
     {"table2_forcelocks", {0.0, 0, 0, 1, false, false, true, false}},
     {"table2_undo", {0.0, 0, 0, 1, false, false, false, true}},
+    {"ablation_k2", {0.10, 0, 0, 1, false, false, false, false, 2}},
 };
 
 const FigGolden kFigGoldens[] = {
@@ -127,6 +132,11 @@ const FigGolden kFigGoldens[] = {
     {"table2_undo_speculation", 2542, 2542, 0, 0, 0, 0, 0, 2542, 0, 192954000, 0},
     {"table2_undo_locking", 2542, 2542, 0, 0, 0, 0, 0, 2542, 0, 192954000, 0},
     {"table2_undo_occ", 2542, 2542, 0, 0, 0, 0, 0, 2542, 0, 192954000, 0},
+    {"ablation_k2_blocking", 1712, 1555, 157, 0, 0, 0, 0, 1555, 157, 131284300, 15510000},
+    {"ablation_k2_speculation", 2207, 1993, 214, 0, 0, 0, 0, 1993, 214, 187833400,
+     20900000},
+    {"ablation_k2_locking", 2049, 1854, 195, 0, 0, 0, 0, 1854, 195, 194416920, 0},
+    {"ablation_k2_occ", 2080, 1878, 202, 0, 0, 0, 0, 1878, 202, 188700840, 19868000},
 };
 
 // The goldens pin exactly the paper's four schemes (captured at the seed

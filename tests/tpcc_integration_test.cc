@@ -152,10 +152,13 @@ TEST(TpccIntegrationExtra, LockingUnderContentionMakesProgress) {
   EXPECT_GT(run.metrics.locked_txns, 0u);
 }
 
-TEST(TpccIntegrationExtra, ReplicatedTpccBackupConverges) {
+// Backups replaying the full TPC-C mix converge under every scheme.
+class TpccBackupConvergence : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TpccBackupConvergence, ReplicatedTpccBackupConverges) {
   TpccWorkloadConfig wl;
   wl.scale = SmallScale();
-  TpccRun run = RunTpccSim(wl, "speculation", /*clients=*/8, /*seed=*/31,
+  TpccRun run = RunTpccSim(wl, GetParam(), /*clients=*/8, /*seed=*/31,
                            /*load_seed=*/31, Micros(20000), Micros(80000),
                            /*log_commits=*/false, /*replication=*/2,
                            /*backups_execute=*/true);
@@ -166,6 +169,12 @@ TEST(TpccIntegrationExtra, ReplicatedTpccBackupConverges) {
         << "backup " << p;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Schemes, TpccBackupConvergence,
+                         ::testing::ValuesIn(CcSchemeRegistry::Global().Names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace partdb
